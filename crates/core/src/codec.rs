@@ -42,11 +42,16 @@ fn sign_from(code: u8) -> Option<VitalSign> {
 /// little-endian, 21 bytes.
 pub fn encode_vitals(s: &VitalsSample) -> Vec<u8> {
     let mut out = Vec::with_capacity(21);
+    write_vitals(s, &mut out);
+    out
+}
+
+/// Appends the [`encode_vitals`] wire form of `s` to `out`.
+pub(crate) fn write_vitals(s: &VitalsSample, out: &mut Vec<u8>) {
     out.extend_from_slice(&s.patient.to_le_bytes());
     out.push(sign_code(s.sign));
     out.extend_from_slice(&s.value.to_le_bytes());
     out.extend_from_slice(&s.time.as_micros().to_le_bytes());
-    out
 }
 
 /// Decodes a vitals record; `None` on wrong length or unknown sign code

@@ -7,14 +7,16 @@
 //! resulting directives materialise as overlay items in the scene graph,
 //! anchored at the POI they concern.
 
+use std::collections::HashMap;
+
 use augur_geo::{GeoPoint, PoiDatabase, PoiId};
 use augur_render::{OverlayItem, OverlayKind, SceneGraph};
 use augur_semantic::{Directive, Fact, InterpretationEngine, Rule};
-use augur_sensor::{SensorEvent, SensorReading};
-use augur_store::TimeSeriesStore;
-use augur_stream::{Broker, Record};
+use augur_sensor::{SensorEvent, SensorReading, VitalSign};
+use augur_store::{SeriesId, TimeSeriesStore};
+use augur_stream::{Broker, Bytes, Record};
 
-use crate::codec::encode_vitals;
+use crate::codec::write_vitals;
 use crate::context::ContextEngine;
 use crate::error::CoreError;
 
@@ -58,6 +60,12 @@ pub struct AugurPlatform {
     config: PlatformConfig,
     broker: Broker,
     timeseries: TimeSeriesStore,
+    /// The time-series id of each `(patient, sign)` seen so far, so a
+    /// series name is formatted and hashed once per series.
+    series_ids: HashMap<(u32, VitalSign), SeriesId>,
+    /// Reused payload buffer: each event's payload is encoded here and
+    /// copied once into its record.
+    payload: Vec<u8>,
     pois: Option<PoiDatabase>,
     engine: InterpretationEngine,
     context: ContextEngine,
@@ -81,6 +89,8 @@ impl AugurPlatform {
             config,
             broker,
             timeseries: TimeSeriesStore::new(),
+            series_ids: HashMap::new(),
+            payload: Vec::new(),
             pois: None,
             engine: InterpretationEngine::new(),
             context: ContextEngine::default(),
@@ -148,51 +158,52 @@ impl AugurPlatform {
     /// Propagates broker and store errors.
     pub fn ingest(&mut self, event: &SensorEvent) -> Result<(), CoreError> {
         let topic = event.reading.family();
-        let payload: Vec<u8> = match &event.reading {
-            SensorReading::Vitals(v) => encode_vitals(v),
+        let out = &mut self.payload;
+        out.clear();
+        match &event.reading {
+            SensorReading::Vitals(v) => write_vitals(v, out),
             SensorReading::Gps(fix) => {
-                let mut out = Vec::with_capacity(24);
                 out.extend_from_slice(&fix.position.east.to_le_bytes());
                 out.extend_from_slice(&fix.position.north.to_le_bytes());
                 out.extend_from_slice(&fix.accuracy_m.to_le_bytes());
-                out
             }
             SensorReading::Imu(r) => {
-                let mut out = Vec::with_capacity(24);
                 out.extend_from_slice(&r.accel_east.to_le_bytes());
                 out.extend_from_slice(&r.accel_north.to_le_bytes());
                 out.extend_from_slice(&r.yaw_rate_dps.to_le_bytes());
-                out
             }
             SensorReading::Camera(o) => {
-                let mut out = Vec::with_capacity(24);
                 out.extend_from_slice(&(o.anchor_index as u64).to_le_bytes());
                 out.extend_from_slice(&o.u_px.to_le_bytes());
                 out.extend_from_slice(&o.v_px.to_le_bytes());
-                out
             }
             SensorReading::Interaction {
                 kind,
                 subject,
                 value,
             } => {
-                let mut out = Vec::with_capacity(17 + kind.len());
                 out.extend_from_slice(&subject.to_le_bytes());
                 out.extend_from_slice(&value.to_le_bytes());
                 out.extend_from_slice(kind.as_bytes());
-                out
             }
-        };
+        }
         self.broker.append(
             topic,
-            Record::new(event.device.0, payload, event.time.as_micros()),
+            Record::new(
+                event.device.0,
+                Bytes::copy_from_slice(out),
+                event.time.as_micros(),
+            ),
         )?;
         if let SensorReading::Vitals(v) = &event.reading {
-            let series = self
-                .timeseries
-                .create_series(&format!("patient-{}/{}", v.patient, v.sign));
-            self.timeseries
-                .append(series, v.time.as_micros(), v.value)?;
+            let timeseries = &mut self.timeseries;
+            let series = *self
+                .series_ids
+                .entry((v.patient, v.sign))
+                .or_insert_with(|| {
+                    timeseries.create_series(&format!("patient-{}/{}", v.patient, v.sign))
+                });
+            timeseries.append(series, v.time.as_micros(), v.value)?;
         }
         self.ingested += 1;
         Ok(())
@@ -360,6 +371,45 @@ mod tests {
             .series_by_name("patient-1/heart-rate")
             .unwrap();
         assert_eq!(p.timeseries().range(series, 0, u64::MAX).unwrap().len(), 10);
+    }
+
+    #[test]
+    fn ingest_creates_one_series_per_patient_and_sign() {
+        let mut p = platform();
+        for round in 0..4u64 {
+            for patient in [3u32, 11, 700] {
+                for sign in VitalSign::ALL {
+                    let time = Timestamp::from_micros(round * 1_000 + u64::from(patient));
+                    p.ingest(&SensorEvent::new(
+                        DeviceId(u64::from(patient)),
+                        time,
+                        SensorReading::Vitals(VitalsSample {
+                            time,
+                            patient,
+                            sign,
+                            value: round as f64,
+                            in_anomaly: false,
+                        }),
+                    ))
+                    .unwrap();
+                }
+            }
+        }
+        let ts = p.timeseries();
+        assert_eq!(ts.series_count(), 9);
+        assert_eq!(ts.sample_count(), 36);
+        for name in [
+            "patient-3/heart-rate",
+            "patient-11/spo2",
+            "patient-700/temperature",
+        ] {
+            let id = ts.series_by_name(name).unwrap();
+            assert_eq!(ts.name(id).unwrap(), name);
+            assert_eq!(ts.range(id, 0, u64::MAX).unwrap().len(), 4);
+        }
+        // Each payload is the 21-byte vitals wire form.
+        let stats = p.broker().stats("vitals").unwrap();
+        assert_eq!((stats.records, stats.bytes), (36, 36 * 21));
     }
 
     #[test]

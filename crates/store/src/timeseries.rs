@@ -86,9 +86,9 @@ struct Series {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TimeSeriesStore {
-    series: HashMap<SeriesId, Series>,
+    /// Indexed by the dense [`SeriesId`]: ids are handed out 0, 1, 2, …
+    series: Vec<Series>,
     by_name: HashMap<String, SeriesId>,
-    next_id: u64,
 }
 
 impl TimeSeriesStore {
@@ -102,17 +102,27 @@ impl TimeSeriesStore {
         if let Some(id) = self.by_name.get(name) {
             return *id;
         }
-        let id = SeriesId(self.next_id);
-        self.next_id += 1;
-        self.series.insert(
-            id,
-            Series {
-                name: name.to_string(),
-                samples: Vec::new(),
-            },
-        );
+        let id = SeriesId(self.series.len() as u64);
+        self.series.push(Series {
+            name: name.to_string(),
+            samples: Vec::new(),
+        });
         self.by_name.insert(name.to_string(), id);
         id
+    }
+
+    fn get(&self, id: SeriesId) -> Result<&Series, StoreError> {
+        usize::try_from(id.0)
+            .ok()
+            .and_then(|i| self.series.get(i))
+            .ok_or(StoreError::UnknownSeries(id.0))
+    }
+
+    fn get_mut(&mut self, id: SeriesId) -> Result<&mut Series, StoreError> {
+        usize::try_from(id.0)
+            .ok()
+            .and_then(|i| self.series.get_mut(i))
+            .ok_or(StoreError::UnknownSeries(id.0))
     }
 
     /// Looks a series up by name.
@@ -126,10 +136,7 @@ impl TimeSeriesStore {
     ///
     /// [`StoreError::UnknownSeries`] for unregistered ids.
     pub fn name(&self, id: SeriesId) -> Result<&str, StoreError> {
-        self.series
-            .get(&id)
-            .map(|s| s.name.as_str())
-            .ok_or(StoreError::UnknownSeries(id.0))
+        self.get(id).map(|s| s.name.as_str())
     }
 
     /// Appends a sample; time must be non-decreasing within the series.
@@ -138,10 +145,7 @@ impl TimeSeriesStore {
     ///
     /// [`StoreError::UnknownSeries`] or [`StoreError::OutOfOrderSample`].
     pub fn append(&mut self, id: SeriesId, t_us: u64, value: f64) -> Result<(), StoreError> {
-        let s = self
-            .series
-            .get_mut(&id)
-            .ok_or(StoreError::UnknownSeries(id.0))?;
+        let s = self.get_mut(id)?;
         if let Some(last) = s.samples.last() {
             if t_us < last.t_us {
                 return Err(StoreError::OutOfOrderSample {
@@ -161,10 +165,7 @@ impl TimeSeriesStore {
     ///
     /// [`StoreError::UnknownSeries`] for unregistered ids.
     pub fn range(&self, id: SeriesId, from_us: u64, to_us: u64) -> Result<&[Sample], StoreError> {
-        let s = self
-            .series
-            .get(&id)
-            .ok_or(StoreError::UnknownSeries(id.0))?;
+        let s = self.get(id)?;
         let lo = s.samples.partition_point(|x| x.t_us < from_us);
         let hi = s.samples.partition_point(|x| x.t_us < to_us);
         Ok(&s.samples[lo..hi])
@@ -176,10 +177,7 @@ impl TimeSeriesStore {
     ///
     /// [`StoreError::UnknownSeries`] for unregistered ids.
     pub fn latest_at(&self, id: SeriesId, t_us: u64) -> Result<Option<Sample>, StoreError> {
-        let s = self
-            .series
-            .get(&id)
-            .ok_or(StoreError::UnknownSeries(id.0))?;
+        let s = self.get(id)?;
         let idx = s.samples.partition_point(|x| x.t_us <= t_us);
         Ok(idx.checked_sub(1).map(|i| s.samples[i]))
     }
@@ -228,7 +226,7 @@ impl TimeSeriesStore {
     /// the number removed (retention enforcement).
     pub fn trim_before(&mut self, cutoff_us: u64) -> usize {
         let mut removed = 0;
-        for s in self.series.values_mut() {
+        for s in &mut self.series {
             let keep_from = s.samples.partition_point(|x| x.t_us < cutoff_us);
             removed += keep_from;
             s.samples.drain(..keep_from);
@@ -243,7 +241,7 @@ impl TimeSeriesStore {
 
     /// Total stored samples.
     pub fn sample_count(&self) -> usize {
-        self.series.values().map(|s| s.samples.len()).sum()
+        self.series.iter().map(|s| s.samples.len()).sum()
     }
 }
 
@@ -365,6 +363,32 @@ mod tests {
             ts.range(SeriesId(9), 0, 1),
             Err(StoreError::UnknownSeries(9))
         ));
+    }
+
+    #[test]
+    fn ids_past_the_last_series_are_unknown() {
+        let mut ts = TimeSeriesStore::new();
+        let a = ts.create_series("a");
+        let b = ts.create_series("b");
+        assert_eq!((a, b), (SeriesId(0), SeriesId(1)));
+        for id in [SeriesId(2), SeriesId(u64::MAX)] {
+            assert!(matches!(
+                ts.append(id, 0, 1.0),
+                Err(StoreError::UnknownSeries(n)) if n == id.0
+            ));
+            assert!(matches!(
+                ts.range(id, 0, 1),
+                Err(StoreError::UnknownSeries(n)) if n == id.0
+            ));
+            assert!(matches!(
+                ts.name(id),
+                Err(StoreError::UnknownSeries(n)) if n == id.0
+            ));
+        }
+        assert_eq!(ts.sample_count(), 0);
+        ts.append(b, 5, 1.0).unwrap();
+        assert_eq!(ts.range(b, 0, 10).unwrap().len(), 1);
+        assert!(ts.range(a, 0, 10).unwrap().is_empty());
     }
 
     #[test]

@@ -20,6 +20,16 @@ use crate::record::{route, Offset, PartitionId, PolledRecord, Record};
 #[derive(Debug, Default)]
 struct Partition {
     records: Vec<Record>,
+    /// Running sum of `records[..].payload.len()`, kept by every append
+    /// so [`Broker::stats`] never scans the log.
+    payload_bytes: u64,
+}
+
+impl Partition {
+    fn push(&mut self, record: Record) {
+        self.payload_bytes += record.payload.len() as u64;
+        self.records.push(record);
+    }
 }
 
 #[derive(Debug)]
@@ -120,7 +130,7 @@ impl Broker {
         let pid = route(record.key, t.partitions.len() as u32);
         let mut p = t.partitions[pid as usize].write();
         let offset = Offset(p.records.len() as u64);
-        p.records.push(record);
+        p.push(record);
         Ok((PartitionId(pid), offset))
     }
 
@@ -145,9 +155,31 @@ impl Broker {
         }
         for (pid, batch) in grouped {
             let mut p = t.partitions[pid as usize].write();
-            p.records.extend(batch);
+            p.records.reserve(batch.len());
+            for r in batch {
+                p.push(r);
+            }
         }
         Ok(n)
+    }
+
+    /// Runs `f` over one partition of a topic under its read lock.
+    fn with_partition<R>(
+        &self,
+        topic: &str,
+        partition: PartitionId,
+        f: impl FnOnce(&Partition) -> R,
+    ) -> Result<R, StreamError> {
+        let t = self.topic(topic)?;
+        let p = t
+            .partitions
+            .get(partition.0 as usize)
+            .ok_or(StreamError::UnknownPartition {
+                topic: topic.to_string(),
+                partition: partition.0,
+            })?
+            .read();
+        Ok(f(&p))
     }
 
     /// Reads up to `max` records from `partition` starting at `from`.
@@ -162,25 +194,44 @@ impl Broker {
         from: u64,
         max: usize,
     ) -> Result<Vec<PolledRecord>, StreamError> {
-        let t = self.topic(topic)?;
-        let p = t
-            .partitions
-            .get(partition.0 as usize)
-            .ok_or(StreamError::UnknownPartition {
-                topic: topic.to_string(),
-                partition: partition.0,
-            })?
-            .read();
-        let start = (from as usize).min(p.records.len());
-        let end = (start + max).min(p.records.len());
-        Ok(p.records[start..end]
-            .iter()
-            .enumerate()
-            .map(|(i, r)| PolledRecord {
-                offset: Offset((start + i) as u64),
-                record: r.clone(),
-            })
-            .collect())
+        self.with_partition(topic, partition, |p| {
+            let start = (from as usize).min(p.records.len());
+            let end = start.saturating_add(max).min(p.records.len());
+            p.records[start..end]
+                .iter()
+                .enumerate()
+                .map(|(i, r)| PolledRecord {
+                    offset: Offset((start + i) as u64),
+                    record: r.clone(),
+                })
+                .collect()
+        })
+    }
+
+    /// Visits the records of `partition` at offsets `from..to` (clamped
+    /// to the end of the log) in offset order, by reference, under one
+    /// read lock: nothing is cloned or buffered. Appends to this
+    /// partition wait until `visit` has seen the whole range, so `visit`
+    /// must not append to it.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::UnknownTopic`] / [`StreamError::UnknownPartition`].
+    pub fn read_range(
+        &self,
+        topic: &str,
+        partition: PartitionId,
+        from: u64,
+        to: u64,
+        mut visit: impl FnMut(Offset, &Record),
+    ) -> Result<(), StreamError> {
+        self.with_partition(topic, partition, |p| {
+            let end = to.min(p.records.len() as u64) as usize;
+            let start = (from as usize).min(end);
+            for (i, record) in p.records[start..end].iter().enumerate() {
+                visit(Offset((start + i) as u64), record);
+            }
+        })
     }
 
     /// The end offset (next offset to be written) of a partition.
@@ -189,16 +240,7 @@ impl Broker {
     ///
     /// [`StreamError::UnknownTopic`] / [`StreamError::UnknownPartition`].
     pub fn end_offset(&self, topic: &str, partition: PartitionId) -> Result<u64, StreamError> {
-        let t = self.topic(topic)?;
-        let p = t
-            .partitions
-            .get(partition.0 as usize)
-            .ok_or(StreamError::UnknownPartition {
-                topic: topic.to_string(),
-                partition: partition.0,
-            })?
-            .read();
-        Ok(p.records.len() as u64)
+        self.with_partition(topic, partition, |p| p.records.len() as u64)
     }
 
     /// Number of partitions in a topic.
@@ -222,11 +264,7 @@ impl Broker {
         for p in &t.partitions {
             let p = p.read();
             records += p.records.len() as u64;
-            bytes += p
-                .records
-                .iter()
-                .map(|r| r.payload.len() as u64)
-                .sum::<u64>();
+            bytes += p.payload_bytes;
         }
         Ok(TopicStats {
             partitions: t.partitions.len() as u32,
@@ -585,6 +623,82 @@ mod tests {
         assert_eq!(s.partitions, 4);
         assert_eq!(s.records, 100);
         assert!(s.bytes >= 200);
+    }
+
+    #[test]
+    fn stats_bytes_track_payload_lengths_on_every_append_path() {
+        let b = Broker::new();
+        b.create_topic("t", 4).unwrap();
+        let mut expected = 0u64;
+        for i in 0..50u64 {
+            let r = Record::new(i, vec![7u8; (i % 13) as usize], i);
+            expected += r.payload_len() as u64;
+            b.append("t", r).unwrap();
+        }
+        assert_eq!(b.stats("t").unwrap().bytes, expected, "after append");
+        let batch: Vec<Record> = (0..70u64)
+            .map(|i| Record::new(i * 3, vec![1u8; (i % 5) as usize], i))
+            .collect();
+        expected += batch.iter().map(|r| r.payload_len() as u64).sum::<u64>();
+        b.append_batch("t", batch).unwrap();
+        assert_eq!(b.stats("t").unwrap().bytes, expected, "after append_batch");
+        let handles: Vec<_> = (0..4u64)
+            .map(|th| {
+                let b = b.clone();
+                std::thread::spawn(move || {
+                    let mut bytes = 0u64;
+                    for i in 0..500u64 {
+                        let len = ((th + i) % 9) as usize;
+                        bytes += len as u64;
+                        b.append("t", Record::new(th * 1_000 + i, vec![0u8; len], i))
+                            .unwrap();
+                    }
+                    bytes
+                })
+            })
+            .collect();
+        for h in handles {
+            expected += h.join().unwrap();
+        }
+        let s = b.stats("t").unwrap();
+        assert_eq!(s.bytes, expected, "after concurrent producers");
+        assert_eq!(s.records, 50 + 70 + 4 * 500);
+        // The running count agrees with a scan of the log.
+        let scanned: u64 = (0..4)
+            .map(|p| {
+                b.poll("t", PartitionId(p), 0, usize::MAX)
+                    .unwrap()
+                    .iter()
+                    .map(|pr| pr.record.payload_len() as u64)
+                    .sum::<u64>()
+            })
+            .sum();
+        assert_eq!(scanned, expected);
+    }
+
+    #[test]
+    fn read_range_visits_by_reference_in_offset_order() {
+        let b = Broker::new();
+        b.create_topic("t", 1).unwrap();
+        b.append_batch("t", (0..20).map(|i| rec(i, i))).unwrap();
+        let mut seen = Vec::new();
+        b.read_range("t", PartitionId(0), 5, 9, |offset, r| {
+            seen.push((offset.0, r.key))
+        })
+        .unwrap();
+        assert_eq!(seen, vec![(5, 5), (6, 6), (7, 7), (8, 8)]);
+        // The range clamps to the end of the log.
+        let mut n = 0;
+        b.read_range("t", PartitionId(0), 18, u64::MAX, |_, _| n += 1)
+            .unwrap();
+        assert_eq!(n, 2);
+        b.read_range("t", PartitionId(0), 30, 40, |_, _| n += 1)
+            .unwrap();
+        assert_eq!(n, 2);
+        assert!(matches!(
+            b.read_range("t", PartitionId(3), 0, 1, |_, _| {}),
+            Err(StreamError::UnknownPartition { .. })
+        ));
     }
 
     #[test]

@@ -52,6 +52,8 @@ pub mod window;
 
 /// Broker types re-exported from [`broker`].
 pub use broker::{Broker, ConsumerGroup, TopicStats};
+/// The shared byte buffer a [`Record`] payload is held in.
+pub use bytes::Bytes;
 /// Checkpoint types re-exported from [`checkpoint`].
 pub use checkpoint::{Checkpoint, CheckpointStore};
 /// The crate error type, re-exported from [`error`].

@@ -13,9 +13,10 @@
 //!
 //! Every run is instrumented through `augur-telemetry`: per-stage spans
 //! (`span_duration_us{span="pipeline/…", topic}`), record/byte counters,
-//! a per-record latency histogram, and a watermark-lateness histogram all
-//! land in the builder's [`Registry`] (a private one by default; plug in
-//! [`Registry::global`] or a shared one via [`PipelineBuilder::registry`]).
+//! a per-record transform-time histogram, and a watermark-lateness
+//! histogram all land in the builder's [`Registry`] (a private one by
+//! default; plug in [`Registry::global`] or a shared one via
+//! [`PipelineBuilder::registry`]).
 //! Time is read through the pluggable [`Clock`] — [`MonotonicTime`] by
 //! default, a [`augur_telemetry::ManualTime`] for deterministic runs.
 
@@ -56,9 +57,12 @@ pub struct PipelineMetrics {
     pub late_dropped: u64,
     /// Wall-clock duration of the run, seconds.
     pub elapsed_s: f64,
-    /// Median per-record source→sink latency, microseconds (collect only).
+    /// Median time the transform closures took per surviving record,
+    /// microseconds (collect only). It is not source→sink latency: read,
+    /// queueing and sink time are not in it.
     pub p50_latency_us: f64,
-    /// 99th-percentile per-record latency, microseconds (collect only).
+    /// 99th-percentile transform-closure time per surviving record,
+    /// microseconds (collect only); see [`PipelineMetrics::p50_latency_us`].
     pub p99_latency_us: f64,
 }
 
@@ -640,49 +644,74 @@ struct Flow<T> {
     value: T,
 }
 
+/// What a bounded run read: the decoded records in arrival order
+/// (partition, then offset) plus the order the run processes them in.
+struct ReadSet<T> {
+    flows: Vec<Option<Flow<T>>>,
+    /// `(event_time_us, arrival index)` per flow, sorted unless the
+    /// pipeline runs in arrival order. The position in this list is the
+    /// run's merged cursor, the offset a checkpoint stores.
+    order: Vec<(u64, u64)>,
+}
+
+impl<T> ReadSet<T> {
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Moves the flows out in processing order.
+    fn into_ordered(self) -> impl Iterator<Item = Flow<T>> {
+        let mut flows = self.flows;
+        self.order
+            .into_iter()
+            .filter_map(move |(_, i)| flows.get_mut(i as usize).and_then(Option::take))
+    }
+}
+
 impl<T: Send + 'static> Pipeline<T> {
-    fn read_all(&self) -> Result<Vec<Flow<T>>, StreamError> {
-        // Snapshot end offsets, then drain each partition to that point,
-        // merging by event time to approximate arrival interleaving.
+    /// Reads every partition up to its end offset at call time, by
+    /// reference under one read lock per partition, decoding as it goes.
+    ///
+    /// The event-time order sorts 16-byte `(event time, arrival index)`
+    /// keys instead of the flows themselves. The keys are unique, so the
+    /// unstable sort yields exactly a stable sort by event time over
+    /// arrival order. A k-way merge of the partitions would not: a
+    /// partition is ordered per key, not by event time, so merging would
+    /// change the processing order, the window sums and the late drops.
+    fn read_all(&self) -> Result<ReadSet<T>, StreamError> {
         let b = &self.inner.broker;
-        let parts = b.partition_count(&self.inner.topic)?;
-        let mut flows: Vec<Flow<T>> = Vec::new();
-        for p in 0..parts {
-            let end = b.end_offset(&self.inner.topic, PartitionId(p))?;
-            let mut from = 0u64;
-            while from < end {
-                let batch = b.poll(
-                    &self.inner.topic,
-                    PartitionId(p),
-                    from,
-                    self.inner.poll_batch,
-                )?;
-                let Some(last) = batch.last() else { break };
-                from = last.offset.0 + 1;
-                for pr in batch {
-                    if let Some(v) = (self.inner.decoder)(&pr.record) {
-                        flows.push(Flow {
-                            key: pr.record.key,
-                            time_us: pr.record.event_time_us,
-                            // Head sampling decides here, once per record,
-                            // so every downstream per-record flight event
-                            // inherits the verdict.
-                            trace: pr.record.trace.map(|c| self.instruments.sample_ctx(c)),
-                            value: v,
-                        });
-                    }
+        let topic = &self.inner.topic;
+        let ends = (0..b.partition_count(topic)?)
+            .map(|p| b.end_offset(topic, PartitionId(p)))
+            .collect::<Result<Vec<u64>, _>>()?;
+        let total = ends.iter().sum::<u64>() as usize;
+        let mut flows = Vec::with_capacity(total);
+        let mut order = Vec::with_capacity(total);
+        for (p, &end) in (0u32..).zip(&ends) {
+            b.read_range(topic, PartitionId(p), 0, end, |_, record| {
+                if let Some(value) = (self.inner.decoder)(record) {
+                    order.push((record.event_time_us, flows.len() as u64));
+                    flows.push(Some(Flow {
+                        key: record.key,
+                        time_us: record.event_time_us,
+                        // Head sampling decides here, once per record, so
+                        // every downstream per-record flight event
+                        // inherits the verdict.
+                        trace: record.trace.map(|c| self.instruments.sample_ctx(c)),
+                        value,
+                    }));
                 }
-            }
+            })?;
         }
         if !self.inner.arrival_order {
-            flows.sort_by_key(|f| f.time_us);
+            order.sort_unstable();
         }
-        Ok(flows)
+        Ok(ReadSet { flows, order })
     }
 
     /// Processes everything currently in the topic through the
     /// transforms, returning the surviving items and metrics (including
-    /// per-record latency percentiles).
+    /// per-record transform-time percentiles).
     ///
     /// # Errors
     ///
@@ -712,7 +741,7 @@ impl<T: Send + 'static> Pipeline<T> {
         {
             let _transform = self.instruments.tracer.span("pipeline/transform");
             let transform_t0 = self.instruments.clock.now_micros();
-            for flow in flows {
+            for flow in flows.into_ordered() {
                 let t0 = self.instruments.clock.now_nanos();
                 if let Some((time, costs)) = &self.inner.modeled {
                     time.advance_micros(costs.transform_us);
@@ -775,7 +804,6 @@ impl<T: Send + 'static> Pipeline<T> {
         resume: bool,
     ) -> Result<WindowedRun<A::Acc>, StreamError>
     where
-        T: Clone,
         W: WindowAssigner,
         A: Aggregation<T>,
     {
@@ -834,7 +862,7 @@ impl<T: Send + 'static> Pipeline<T> {
         {
             let _window = self.instruments.tracer.span("pipeline/window");
             let window_t0 = self.instruments.clock.now_micros();
-            for (i, flow) in flows.iter().enumerate() {
+            for (i, flow) in flows.into_ordered().enumerate() {
                 if (i as u64) < processed_before {
                     continue;
                 }
@@ -848,7 +876,7 @@ impl<T: Send + 'static> Pipeline<T> {
                 if let Some((time, costs)) = &self.inner.modeled {
                     time.advance_micros(costs.window_us);
                 }
-                let mut v = Some(flow.value.clone());
+                let mut v = Some(flow.value);
                 for tr in &mut self.inner.transforms {
                     v = match v {
                         Some(x) => tr(x),

@@ -65,8 +65,17 @@ impl std::fmt::Display for Window {
 
 /// Assigns windows to event times.
 pub trait WindowAssigner {
+    /// Appends the windows an event at `t_us` belongs to onto `out`, in
+    /// ascending start order. The window operator reuses one buffer
+    /// across records, so assignment allocates nothing per record.
+    fn assign_into(&self, t_us: u64, out: &mut Vec<Window>);
+
     /// The windows an event at `t_us` belongs to.
-    fn assign(&self, t_us: u64) -> Vec<Window>;
+    fn assign(&self, t_us: u64) -> Vec<Window> {
+        let mut out = Vec::new();
+        self.assign_into(t_us, &mut out);
+        out
+    }
 
     /// `Some(gap)` if windows must be merged session-style.
     fn session_gap_us(&self) -> Option<u64> {
@@ -93,9 +102,9 @@ impl TumblingWindows {
 }
 
 impl WindowAssigner for TumblingWindows {
-    fn assign(&self, t_us: u64) -> Vec<Window> {
+    fn assign_into(&self, t_us: u64, out: &mut Vec<Window>) {
         let start = (t_us / self.size_us) * self.size_us;
-        vec![Window::new(start, start + self.size_us)]
+        out.push(Window::new(start, start + self.size_us));
     }
 }
 
@@ -123,8 +132,8 @@ impl SlidingWindows {
 }
 
 impl WindowAssigner for SlidingWindows {
-    fn assign(&self, t_us: u64) -> Vec<Window> {
-        let mut out = Vec::new();
+    fn assign_into(&self, t_us: u64, out: &mut Vec<Window>) {
+        let first = out.len();
         let last_start = (t_us / self.slide_us) * self.slide_us;
         let mut start = last_start;
         loop {
@@ -139,8 +148,7 @@ impl WindowAssigner for SlidingWindows {
                 break;
             }
         }
-        out.reverse();
-        out
+        out[first..].reverse();
     }
 }
 
@@ -163,8 +171,8 @@ impl SessionWindows {
 }
 
 impl WindowAssigner for SessionWindows {
-    fn assign(&self, t_us: u64) -> Vec<Window> {
-        vec![Window::new(t_us, t_us + self.gap_us)]
+    fn assign_into(&self, t_us: u64, out: &mut Vec<Window>) {
+        out.push(Window::new(t_us, t_us + self.gap_us));
     }
 
     fn session_gap_us(&self) -> Option<u64> {
@@ -328,6 +336,8 @@ where
     state: BTreeMap<(u64, u64, u64), A::Acc>, // (end_us, key, start_us)
     emitted_watermark: Watermark,
     late_dropped: u64,
+    /// Reused by [`WindowedAggregator::offer`] for window assignment.
+    assigned: Vec<Window>,
     _marker: std::marker::PhantomData<fn(&T)>,
 }
 
@@ -344,6 +354,7 @@ where
             state: BTreeMap::new(),
             emitted_watermark: Watermark(0),
             late_dropped: 0,
+            assigned: Vec::new(),
             _marker: std::marker::PhantomData,
         }
     }
@@ -360,17 +371,20 @@ where
 
     /// Offers an item. Returns `false` if it was dropped as late.
     pub fn offer(&mut self, key: u64, event_time_us: u64, item: &T) -> bool {
-        let windows = self.assigner.assign(event_time_us);
+        self.assigned.clear();
+        self.assigner.assign_into(event_time_us, &mut self.assigned);
+        let emitted = self.emitted_watermark.0;
         // Late if every window it belongs to has already been emitted.
-        if windows.iter().all(|w| w.end_us <= self.emitted_watermark.0) {
+        if self.assigned.iter().all(|w| w.end_us <= emitted) {
             self.late_dropped += 1;
             return false;
         }
-        if let Some(_gap) = self.assigner.session_gap_us() {
-            self.offer_session(key, windows[0], item);
+        if let (Some(_gap), Some(&window)) = (self.assigner.session_gap_us(), self.assigned.first())
+        {
+            self.offer_session(key, window, item);
         } else {
-            for w in windows {
-                if w.end_us <= self.emitted_watermark.0 {
+            for w in &self.assigned {
+                if w.end_us <= emitted {
                     continue; // this pane already fired; drop silently
                 }
                 let acc = self
@@ -411,17 +425,18 @@ where
         }
         self.emitted_watermark = watermark;
         let mut fired = Vec::new();
-        // All keys with end_us <= watermark: range up to (watermark+1, 0, 0).
-        let boundary = (watermark.0 + 1, 0u64, 0u64);
-        let to_fire: Vec<(u64, u64, u64)> = self.state.range(..boundary).map(|(k, _)| *k).collect();
-        for k in to_fire {
-            if let Some(value) = self.state.remove(&k) {
-                fired.push(WindowResult {
-                    key: k.1,
-                    window: Window::new(k.2, k.0),
-                    value,
-                });
+        // State is ordered by window end: pop from the front while the
+        // earliest pending window has ended. Most calls pop nothing.
+        while let Some(entry) = self.state.first_entry() {
+            if entry.key().0 > watermark.0 {
+                break;
             }
+            let ((end_us, key, start_us), value) = entry.remove_entry();
+            fired.push(WindowResult {
+                key,
+                window: Window::new(start_us, end_us),
+                value,
+            });
         }
         fired
     }

@@ -1,11 +1,110 @@
 //! Property-based tests for the stream substrate.
 
-use augur_stream::window::CountAggregation;
+use augur_stream::window::{CountAggregation, NumericStats, StatsAggregation};
 use augur_stream::{
-    BoundedOutOfOrderness, Broker, PartitionId, Record, SessionWindows, SlidingWindows,
-    TumblingWindows, Watermark, WatermarkGenerator, WindowAssigner, WindowedAggregator,
+    BoundedOutOfOrderness, Broker, CheckpointStore, PartitionId, PipelineBuilder, Record,
+    SessionWindows, SlidingWindows, StreamError, TumblingWindows, Watermark, WatermarkGenerator,
+    WindowAssigner, WindowResult, WindowState, WindowedAggregator,
 };
 use proptest::prelude::*;
+
+/// A decoded test record: (append sequence number, value).
+type Item = (u64, f64);
+
+fn item_payload(seq: u64, value: f64) -> Vec<u8> {
+    let mut out = seq.to_le_bytes().to_vec();
+    out.extend_from_slice(&value.to_le_bytes());
+    out
+}
+
+fn decode_item(r: &Record) -> Option<Item> {
+    let seq = u64::from_le_bytes(r.payload.get(0..8)?.try_into().ok()?);
+    let value = f64::from_le_bytes(r.payload.get(8..16)?.try_into().ok()?);
+    Some((seq, value))
+}
+
+/// Appends `(key, event time, value)` records in order; the payload
+/// carries the append sequence number.
+fn broker_with(records: &[(u64, u64, f64)], partitions: u32) -> Result<Broker, StreamError> {
+    let broker = Broker::new();
+    broker.create_topic("t", partitions)?;
+    for (seq, &(key, t, value)) in records.iter().enumerate() {
+        broker.append("t", Record::new(key, item_payload(seq as u64, value), t))?;
+    }
+    Ok(broker)
+}
+
+/// `(key, event time, item)` in partition-then-offset order, skipping
+/// what does not decode as the pipeline does.
+fn arrival_order(broker: &Broker, partitions: u32) -> Result<Vec<(u64, u64, Item)>, StreamError> {
+    let mut out = Vec::new();
+    for p in 0..partitions {
+        for pr in broker.poll("t", PartitionId(p), 0, usize::MAX)? {
+            if let Some(item) = decode_item(&pr.record) {
+                out.push((pr.record.key, pr.record.event_time_us, item));
+            }
+        }
+    }
+    Ok(out)
+}
+
+fn stats() -> StatsAggregation<Item, fn(&Item) -> f64> {
+    fn value(i: &Item) -> f64 {
+        i.1
+    }
+    StatsAggregation::new(value as fn(&Item) -> f64)
+}
+
+/// The window operator fed `items` in the given order, exactly as a
+/// bounded run drives it: watermark first, then the offer.
+fn reference_windows(
+    items: &[(u64, u64, Item)],
+    size_us: u64,
+    bound_us: u64,
+) -> (Vec<WindowResult<NumericStats>>, u64) {
+    let mut agg = WindowedAggregator::new(TumblingWindows::new(size_us), stats());
+    let mut wm = BoundedOutOfOrderness::new(bound_us);
+    let mut out = Vec::new();
+    for (key, t, item) in items {
+        if wm.observe(*t).is_some() {
+            out.extend(agg.advance(wm.current()));
+        }
+        agg.offer(*key, *t, item);
+    }
+    out.extend(agg.flush());
+    (out, agg.late_dropped())
+}
+
+/// Window results as comparable bit patterns, in emission order.
+fn bits(windows: &[WindowResult<NumericStats>]) -> Vec<(u64, u64, u64, u64, u64, u64, u64)> {
+    windows
+        .iter()
+        .map(|w| {
+            (
+                w.window.start_us,
+                w.window.end_us,
+                w.key,
+                w.value.count,
+                w.value.sum.to_bits(),
+                w.value.min.to_bits(),
+                w.value.max.to_bits(),
+            )
+        })
+        .collect()
+}
+
+fn pipeline(broker: &Broker, bound_us: u64, arrival: bool) -> augur_stream::Pipeline<Item> {
+    PipelineBuilder::new(broker.clone(), "t", decode_item)
+        .watermark_bound_us(bound_us)
+        .arrival_order(arrival)
+        .build()
+}
+
+/// Records with few keys and a narrow event-time range, so equal event
+/// times are common within and across partitions.
+fn tied_records() -> impl Strategy<Value = Vec<(u64, u64, f64)>> {
+    prop::collection::vec((0u64..6, 0u64..40, -1_000.0f64..1_000.0), 1..120)
+}
 
 proptest! {
     #[test]
@@ -164,5 +263,108 @@ proptest! {
         };
         prop_assert_eq!(emitted + pre_fired, counted);
         prop_assert_eq!(counted + agg.late_dropped(), times.len() as u64);
+    }
+}
+
+proptest! {
+    #[test]
+    fn collect_order_is_a_stable_event_time_sort_of_arrival_order(
+        records in tied_records(),
+        partitions in 1u32..5,
+    ) {
+        let broker = broker_with(&records, partitions).unwrap();
+        let mut expected = arrival_order(&broker, partitions).unwrap();
+        expected.sort_by_key(|(_, t, _)| *t);
+        let expected: Vec<u64> = expected.iter().map(|(_, _, (seq, _))| *seq).collect();
+        let (got, metrics) = pipeline(&broker, 10, false).collect().unwrap();
+        let got: Vec<u64> = got.iter().map(|(seq, _)| *seq).collect();
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(metrics.records_in, records.len() as u64);
+    }
+
+    #[test]
+    fn arrival_order_runs_read_partition_then_offset(
+        records in tied_records(),
+        partitions in 1u32..5,
+        size_us in 1u64..12,
+        bound_us in 0u64..8,
+    ) {
+        let broker = broker_with(&records, partitions).unwrap();
+        let arrival = arrival_order(&broker, partitions).unwrap();
+        let (got, _) = pipeline(&broker, bound_us, true).collect().unwrap();
+        let expected: Vec<u64> = arrival.iter().map(|(_, _, (seq, _))| *seq).collect();
+        prop_assert_eq!(got.iter().map(|(seq, _)| *seq).collect::<Vec<_>>(), expected);
+        let (windows, metrics) = pipeline(&broker, bound_us, true)
+            .run_windowed(TumblingWindows::new(size_us), stats(), None, None, false)
+            .unwrap();
+        let (reference, late) = reference_windows(&arrival, size_us, bound_us);
+        prop_assert_eq!(bits(&windows), bits(&reference));
+        prop_assert_eq!(metrics.late_dropped, late);
+    }
+
+    #[test]
+    fn windowed_run_matches_the_operator_over_the_reference_order(
+        records in tied_records(),
+        partitions in 1u32..5,
+        size_us in 1u64..12,
+        bound_us in 0u64..8,
+    ) {
+        let broker = broker_with(&records, partitions).unwrap();
+        let mut order = arrival_order(&broker, partitions).unwrap();
+        order.sort_by_key(|(_, t, _)| *t);
+        let (windows, metrics) = pipeline(&broker, bound_us, false)
+            .run_windowed(TumblingWindows::new(size_us), stats(), None, None, false)
+            .unwrap();
+        let (reference, late) = reference_windows(&order, size_us, bound_us);
+        prop_assert_eq!(bits(&windows), bits(&reference));
+        prop_assert_eq!(metrics.late_dropped, late);
+    }
+
+    #[test]
+    fn crash_and_resume_at_any_point_matches_the_uninterrupted_run(
+        records in tied_records(),
+        partitions in 1u32..5,
+        size_us in 1u64..12,
+        bound_us in 0u64..8,
+        interval in 1usize..16,
+        arrival in any::<bool>(),
+    ) {
+        let broker = broker_with(&records, partitions).unwrap();
+        let (whole, _) = pipeline(&broker, bound_us, arrival)
+            .run_windowed(TumblingWindows::new(size_us), stats(), None, None, false)
+            .unwrap();
+        let mut whole = bits(&whole);
+        whole.sort_unstable();
+        for crash_at in 0..=records.len() {
+            let store: CheckpointStore<WindowState<NumericStats>> = CheckpointStore::new(2);
+            let (partial, _) = pipeline(&broker, bound_us, arrival)
+                .run_windowed(
+                    TumblingWindows::new(size_us),
+                    stats(),
+                    Some((&store, interval)),
+                    Some(crash_at),
+                    false,
+                )
+                .unwrap();
+            // Before the first checkpoint there is nothing to resume
+            // from: recovery reruns from the start.
+            let resume = store.latest().is_ok();
+            let (rest, _) = pipeline(&broker, bound_us, arrival)
+                .run_windowed(
+                    TumblingWindows::new(size_us),
+                    stats(),
+                    Some((&store, interval)),
+                    None,
+                    resume,
+                )
+                .unwrap();
+            // Windows fired between the checkpoint and the crash fire
+            // again after the resume, bit for bit the same.
+            let mut recovered = bits(&partial);
+            recovered.extend(bits(&rest));
+            recovered.sort_unstable();
+            recovered.dedup();
+            prop_assert_eq!(&recovered, &whole, "crash at {}", crash_at);
+        }
     }
 }

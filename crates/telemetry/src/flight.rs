@@ -211,17 +211,36 @@ impl FlightRecorder {
     }
 
     /// Live loss estimate: already-charged drops **plus** tickets the
-    /// ring has overwritten since the last drain. Unlike
-    /// [`FlightRecorder::dropped_events`] this moves between drains, so
-    /// monitors (e.g. the watch session's trace-loss SLO) can alert on
-    /// span loss while a run is still in flight. Takes the read-cursor
-    /// lock briefly; call from control-plane code, not hot paths.
+    /// ring has overwritten since the last drain **plus** live-window
+    /// slots where a writer published a ticket other than the slot's.
+    /// Unlike [`FlightRecorder::dropped_events`] this moves between
+    /// drains, so monitors (e.g. the watch session's trace-loss SLO) can
+    /// alert on span loss while a run is still in flight.
+    ///
+    /// At quiescence this is exactly what the next [`FlightRecorder::drain`]
+    /// will have charged: two writers a lap apart (tickets `t` and
+    /// `t + capacity`) share a slot, and when the older one publishes
+    /// last the slot holds a stale `seq` that the drain rejects. A slot
+    /// still being written is not counted until its writer publishes.
+    /// Scans the ring (O(capacity)) under the read-cursor lock; call
+    /// from control-plane code, not hot paths.
     pub fn lost_events(&self) -> u64 {
         let inner = &*self.inner;
-        let r = *inner.read.lock();
+        let read = inner.read.lock();
         let w = inner.write.load(Ordering::Acquire);
-        let pending_overwrites = w.saturating_sub(r).saturating_sub(inner.slots.len() as u64);
-        inner.dropped.load(Ordering::Relaxed) + pending_overwrites
+        let live_from = (*read).max(w.saturating_sub(inner.slots.len() as u64));
+        let stale = (live_from..w)
+            .filter(|&ticket| {
+                inner
+                    .slots
+                    .get((ticket & inner.mask) as usize)
+                    .is_some_and(|slot| {
+                        let seq = slot.seq.load(Ordering::Acquire);
+                        seq & BUSY == 0 && seq != ticket
+                    })
+            })
+            .count() as u64;
+        inner.dropped.load(Ordering::Relaxed) + (live_from - *read) + stale
     }
 
     fn record(
@@ -454,6 +473,26 @@ mod tests {
         let _ = rec.drain();
         assert_eq!(rec.dropped_events(), 12);
         assert_eq!(rec.lost_events(), 12, "estimate matches after drain");
+    }
+
+    #[test]
+    fn lost_events_counts_a_slot_left_stale_by_a_lapped_writer() {
+        let rec = FlightRecorder::new(8);
+        let n = rec.intern("x");
+        let ctx = TraceContext::root(6, 6);
+        for i in 0..10u64 {
+            rec.record_span(ctx, n, i, 1);
+        }
+        // Tickets 1 and 9 share a slot. Replay the race in which the
+        // older writer publishes last: the slot keeps ticket 1's seq.
+        if let Some(slot) = rec.inner.slots.get(1) {
+            slot.seq.store(1, Ordering::Release);
+        }
+        let live = rec.lost_events();
+        let events = rec.drain();
+        assert_eq!(live, 3, "two lapped tickets plus the stale slot");
+        assert_eq!(rec.dropped_events(), live);
+        assert_eq!(events.len() as u64 + live, rec.total_events());
     }
 
     #[test]
