@@ -3,7 +3,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // experiment drivers: setup failure is fatal by design
 
 use augur_bench::{f, header, row, smoke, BenchLog, Snapshot};
-use augur_core::traffic::{run_logged, TrafficParams};
+use augur_core::traffic::{run, TrafficParams};
+use augur_core::Obs;
 use augur_telemetry::{FlightRecorder, Registry};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,14 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "near misses".into(),
     ]);
     for &period in &[0.2f64, 0.5, 1.0, 2.0, 4.0] {
-        let r = run_logged(
+        let r = run(
             &TrafficParams {
                 share_period_s: period,
                 ..base.clone()
             },
-            &scratch,
-            &recorder,
-            blog.handle(),
+            &mut Obs::new(&scratch).traced(&recorder).logged(blog.handle()),
         )?;
         let p = format!("{period}");
         let labels = [("share_period_s", p.as_str())];
@@ -60,14 +59,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "lost".into(),
     ]);
     for &loss in &[0.0f64, 0.05, 0.15, 0.3, 0.5] {
-        let r = run_logged(
+        let r = run(
             &TrafficParams {
                 loss,
                 ..base.clone()
             },
-            &scratch,
-            &recorder,
-            blog.handle(),
+            &mut Obs::new(&scratch).traced(&recorder).logged(blog.handle()),
         )?;
         let l = format!("{loss}");
         let labels = [("loss", l.as_str())];

@@ -2,7 +2,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // experiment drivers: setup failure is fatal by design
 
 use augur_bench::{f, header, row, smoke, BenchLog, Snapshot};
-use augur_core::{healthcare, influence_report, retail, tourism, traffic};
+use augur_core::{healthcare, influence_report, retail, tourism, traffic, Obs};
 use augur_telemetry::{FlightRecorder, Registry};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,17 +26,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     snap.param_num("tourism_pois", tourism_params.pois as f64);
     snap.param_num("health_patients", health_params.patients as f64);
     snap.param_num("traffic_vehicles", traffic_params.vehicles as f64);
-    // Logged variants: each scenario narrates its shedding/alerting
+    // Logged runs: each scenario narrates its shedding/alerting
     // decisions into one shared ring, drained to stderr at exit. The
     // scratch registry keeps scenario-internal metrics out of the
     // snapshot (whose gauge set the doctor baseline pins).
     let blog = BenchLog::new("e1_influence");
     let scratch = Registry::new();
     let recorder = FlightRecorder::new(1 << 14);
-    let retail_report = retail::run_logged(&retail_params, &scratch, &recorder, blog.handle())?;
-    let tourism_report = tourism::run_logged(&tourism_params, &scratch, &recorder, blog.handle())?;
-    let health_report = healthcare::run_logged(&health_params, &scratch, &recorder, blog.handle())?;
-    let traffic_report = traffic::run_logged(&traffic_params, &scratch, &recorder, blog.handle())?;
+    let obs = || Obs::new(&scratch).traced(&recorder).logged(blog.handle());
+    let retail_report = retail::run(&retail_params, &mut obs())?;
+    let tourism_report = tourism::run(&tourism_params, &mut obs())?;
+    let health_report = healthcare::run(&health_params, &mut obs())?;
+    let traffic_report = traffic::run(&traffic_params, &mut obs())?;
     let entries = influence_report(
         &retail_report,
         &tourism_report,

@@ -2,7 +2,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // experiment drivers: setup failure is fatal by design
 
 use augur_bench::{f, header, row, smoke, BenchLog, Snapshot};
-use augur_core::retail::{run_logged, RetailParams};
+use augur_core::retail::{run, RetailParams};
+use augur_core::Obs;
 use augur_telemetry::{FlightRecorder, Registry};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,14 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "uplift".into(),
     ]);
     for &users in scales {
-        let report = run_logged(
+        let report = run(
             &RetailParams {
                 users,
                 ..RetailParams::default()
             },
-            &scratch,
-            &recorder,
-            blog.handle(),
+            &mut Obs::new(&scratch).traced(&recorder).logged(blog.handle()),
         )?;
         let ul = users.to_string();
         let labels = [("users", ul.as_str())];

@@ -3,7 +3,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // experiment drivers: setup failure is fatal by design
 
 use augur_bench::{f, header, row, smoke, BenchLog, Snapshot};
-use augur_core::healthcare::{run_logged, HealthcareParams};
+use augur_core::healthcare::{run, HealthcareParams};
+use augur_core::Obs;
 use augur_telemetry::{FlightRecorder, Registry};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,14 +29,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "throughput r/s".into(),
     ]);
     for &m in &[1usize, 2, 3, 5] {
-        let report = run_logged(
+        let report = run(
             &HealthcareParams {
                 confirm_m: m,
                 ..base.clone()
             },
-            &scratch,
-            &recorder,
-            blog.handle(),
+            &mut Obs::new(&scratch).traced(&recorder).logged(blog.handle()),
         )?;
         let ml = m.to_string();
         let labels = [("confirm_m", ml.as_str())];

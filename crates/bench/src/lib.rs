@@ -124,19 +124,16 @@ impl BenchLog {
     /// derived from the bench name (FNV-1a), so exported ids are stable
     /// across runs.
     pub fn new(bench: &str) -> BenchLog {
-        let key = bench.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        });
         BenchLog {
             log: EventLog::with_min_level(1 << 14, log_level()),
             site: LogSite::unlimited(),
-            root: TraceContext::root(0, key),
+            root: TraceContext::root_named(0, bench),
             t0: Instant::now(),
         }
     }
 
-    /// The underlying event log, for `builder.log(...)`, `run_logged`,
-    /// and the other instrumentation hooks.
+    /// The underlying event log, for `builder.log(...)`, a scenario's
+    /// `Obs::logged`, and the other instrumentation hooks.
     pub fn handle(&self) -> &EventLog {
         &self.log
     }

@@ -57,3 +57,5 @@ pub use scenario::retail::{self, RetailParams, RetailReport};
 pub use scenario::tourism::{self, TourismParams, TourismReport};
 /// The traffic scenario (§3.4).
 pub use scenario::traffic::{self, TrafficParams, TrafficReport};
+/// The observability handle every scenario run reports into.
+pub use scenario::Obs;

@@ -12,16 +12,15 @@ use std::collections::HashMap;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use augur_log::{Arg, EventLog};
-use augur_telemetry::{FlightRecorder, ManualTime, Registry, TimeSource, TraceContext, Tracer};
-use augur_watch::{
-    BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig, WatchSession,
-};
+use augur_log::Arg;
+use augur_telemetry::TraceContext;
+use augur_watch::{BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig};
 
 use augur_analytics::ThresholdDetector;
 use augur_sensor::{VitalsGenerator, VitalsParams};
 use augur_stream::{Broker, PipelineBuilder, Record};
 
+use super::Obs;
 use crate::codec::{decode_vitals, encode_vitals};
 use crate::error::CoreError;
 
@@ -87,112 +86,9 @@ pub struct HealthcareReport {
     pub pipeline_throughput_rps: f64,
 }
 
-/// Runs the scenario.
-///
-/// # Errors
-///
-/// [`CoreError::InvalidScenario`] for degenerate parameters; stream and
-/// analytics errors propagate.
-pub fn run(params: &HealthcareParams) -> Result<HealthcareReport, CoreError> {
-    run_instrumented(params, &Registry::new())
-}
-
-/// [`run`] with a per-stage latency breakdown recorded into `registry`
-/// as span histograms (`span_duration_us{span="healthcare/…"}`), using
-/// the modeled-work-unit convention described in
-/// [the module docs](crate::scenario). The broker pipeline itself runs
-/// against the same registry and manual clock, so its stage spans and
-/// counters land beside the scenario's.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_instrumented(
-    params: &HealthcareParams,
-    registry: &Registry,
-) -> Result<HealthcareReport, CoreError> {
-    run_inner(params, registry, None, None, None)
-}
-
-/// [`run_instrumented`] plus causal flight-recorder emission. A root
-/// span covers the run with the four stages as children; patient 0's
-/// vitals samples additionally carry per-record root trace contexts
-/// through the broker, so the pipeline's per-record spans link back to
-/// the producing sample via `parent_span_id` (the broker pipeline itself
-/// is wired with [`PipelineBuilder::flight`]). Everything is timestamped
-/// on the scenario's manual clock — byte-identical traces under the
-/// same seed.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_traced(
-    params: &HealthcareParams,
-    registry: &Registry,
-    recorder: &FlightRecorder,
-) -> Result<HealthcareReport, CoreError> {
-    run_inner(params, registry, Some(recorder), None, None)
-}
-
-/// [`run_traced`] plus a structured event log of the run's decisions:
-/// the vitals pipeline logs its run/checkpoint/late-drop rationale under
-/// the run root (see [`PipelineBuilder::log`]), each undetected episode
-/// gets a WARN (`healthcare/missed_episode`) during scoring, and the run
-/// closes with an INFO (`healthcare/summary`). Log records share the
-/// flight spans' trace ids, and same-seed runs render byte-identical
-/// JSONL.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_logged(
-    params: &HealthcareParams,
-    registry: &Registry,
-    recorder: &FlightRecorder,
-    log: &EventLog,
-) -> Result<HealthcareReport, CoreError> {
-    run_inner(params, registry, Some(recorder), None, Some(log))
-}
-
-/// [`run_traced`] folded into a deterministic profile
-/// (`healthcare;healthcare/detect`, …): per-stack-path
-/// inclusive/exclusive modeled time plus allocation stats when the
-/// counting allocator is installed. Same-seed runs render
-/// byte-identical artifacts.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_profiled(
-    params: &HealthcareParams,
-    registry: &Registry,
-) -> Result<(HealthcareReport, augur_profile::Profile), CoreError> {
-    super::profiled_run("healthcare", registry, |rec| {
-        run_inner(params, registry, Some(rec), None, None)
-    })
-}
-
-/// [`run_traced`] analyzed into an [`augur_xray::XrayReport`]:
-/// critical-path ranking, work/span parallel speedup bounds, and a
-/// per-stage queueing model over the run's spans (plus live pipeline
-/// queue occupancy where the scenario runs one). Same-seed runs render
-/// byte-identical xray JSON.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_xray(
-    params: &HealthcareParams,
-    registry: &Registry,
-) -> Result<(HealthcareReport, augur_xray::XrayReport), CoreError> {
-    super::xray_run("healthcare", registry, |rec| {
-        run_inner(params, registry, Some(rec), None, None)
-    })
-}
-
-/// Detector records processed per observed watch cycle (see
-/// [`run_watched`]): the detect stage reports once per chunk, so a
-/// healthy cycle models ~1 ms of work.
+/// Detector records processed per observed watch cycle: the detect
+/// stage reports once per chunk, so a healthy cycle models ~1 ms of
+/// work.
 const WATCH_CHUNK: usize = 1_000;
 
 /// The ward's declared service-level objectives — the paper's
@@ -277,54 +173,37 @@ pub fn watch_config(seed: u64) -> WatchConfig {
     }
 }
 
-/// [`run_traced`] under live health monitoring: stage boundaries tick
-/// the session's rollup clock, the detect stage reports one observed
-/// cycle per [`WATCH_CHUNK`] records, and every detected episode's
+/// Runs the scenario, reporting into `obs`.
+///
+/// The broker pipeline runs against the run's registry and manual clock
+/// (and flight recorder and log, when wired), so its stage spans,
+/// counters and run/checkpoint/late-drop records land beside the
+/// scenario's. With a flight recorder, patient 0's vitals samples
+/// additionally carry per-record root trace contexts through the
+/// broker, so the pipeline's per-record spans link back to the
+/// producing sample. With a log, each undetected episode gets a WARN
+/// (`healthcare/missed_episode`), and the run closes with an INFO
+/// (`healthcare/summary`). Under watch, stage boundaries tick the
+/// session, the detect stage reports one observed cycle per
+/// [`WATCH_CHUNK`] records, and every detected episode's
 /// sample-to-alert latency lands in
-/// `alert_latency_us{scenario=healthcare}` for the declared SLOs to
-/// grade. The session is finished when the run ends.
+/// `alert_latency_us{scenario=healthcare}` for the declared SLOs.
 ///
 /// # Errors
 ///
-/// Same contract as [`run`].
-pub fn run_watched(
-    params: &HealthcareParams,
-    session: &mut WatchSession,
-) -> Result<HealthcareReport, CoreError> {
-    let registry = session.registry();
-    let recorder = session.recorder();
-    let log = session.log();
-    let report = run_inner(
-        params,
-        &registry,
-        Some(&recorder),
-        Some(session),
-        Some(&log),
-    )?;
-    session.finish();
-    Ok(report)
-}
-
-fn run_inner(
-    params: &HealthcareParams,
-    registry: &Registry,
-    recorder: Option<&FlightRecorder>,
-    mut watch: Option<&mut WatchSession>,
-    log: Option<&EventLog>,
-) -> Result<HealthcareReport, CoreError> {
+/// [`CoreError::InvalidScenario`] for degenerate parameters; stream and
+/// analytics errors propagate.
+pub fn run(params: &HealthcareParams, obs: &mut Obs) -> Result<HealthcareReport, CoreError> {
     if params.patients == 0 {
         return Err(CoreError::InvalidScenario("patients must be positive"));
     }
     if params.duration_s <= 0.0 || params.period_s <= 0.0 {
         return Err(CoreError::InvalidScenario("durations must be positive"));
     }
-    let clock = ManualTime::shared();
-    let tracer = Tracer::with_labels(registry, clock.clone(), &[("scenario", "healthcare")]);
-    let flight =
-        super::ScenarioFlight::start(recorder, "healthcare", params.seed, clock.now_micros());
-    let slog = super::ScenarioLog::start(log, "healthcare", params.seed);
-    let generate_t0 = clock.now_micros();
-    let generate_span = tracer.span("healthcare/generate");
+    let mut run = obs.start("healthcare", params.seed);
+    let clock = run.clock().clone();
+    let generate_t0 = run.now();
+    let generate = run.stage("healthcare/generate");
     let mut rng = rand::rngs::StdRng::seed_from_u64(params.seed);
     let gen_params = VitalsParams {
         patients: params.patients,
@@ -337,78 +216,59 @@ fn run_inner(
     };
     let (samples, episodes) = VitalsGenerator::new(gen_params).generate(&mut rng);
     clock.advance_micros(samples.len() as u64);
-    generate_span.end();
-    if let Some(f) = &flight {
-        f.stage("healthcare/generate", generate_t0, clock.now_micros());
-    }
-    if let Some(s) = watch.as_deref_mut() {
-        s.tick_clock(&clock);
-    }
+    run.end_tick(generate);
 
     // Stream through the broker keyed by patient (per-patient order is
     // preserved within a partition). The pipeline shares the scenario's
     // registry and manual clock; a map stage advances the clock one work
     // unit per record, so pipeline latency and throughput are modeled
     // and deterministic.
-    let stream_t0 = clock.now_micros();
-    let stream_span = tracer.span("healthcare/stream");
+    let stream = run.stage("healthcare/stream");
     let broker = Broker::new();
     broker.create_topic("vitals", params.partitions)?;
-    // Under tracing, patient 0's samples become causal roots: each gets
-    // a producer span (modeled production order within the generate
-    // window, one work unit apiece) and carries its context through the
-    // broker so the pipeline's per-record spans link back to it.
-    let sample_name = recorder.map(|r| r.intern("healthcare/sample"));
+    // Patient 0's samples are causal roots: each gets a producer span
+    // (modeled production order within the generate window, one work
+    // unit apiece) and carries its context through the broker so the
+    // pipeline's per-record spans link back to it.
     broker.append_batch(
         "vitals",
         samples.iter().enumerate().map(|(i, s)| {
             let rec = Record::new(s.patient as u64, encode_vitals(s), s.time.as_micros());
-            match (&flight, sample_name) {
-                (Some(f), Some(name)) if s.patient == 0 => {
-                    let ctx = TraceContext::root(params.seed, i as u64);
-                    f.recorder()
-                        .record_span(ctx, name, generate_t0 + i as u64, 1);
-                    rec.with_trace(ctx)
-                }
-                _ => rec,
+            if s.patient != 0 {
+                return rec;
             }
+            let ctx = TraceContext::root(params.seed, i as u64);
+            run.record_span(ctx, "healthcare/sample", generate_t0 + i as u64, 1);
+            rec.with_trace(ctx)
         }),
     )?;
 
     let pipeline_clock = clock.clone();
-    let mut builder = PipelineBuilder::new(broker, "vitals", |r| decode_vitals(&r.payload))
-        .registry(registry)
-        .clock(clock.clone());
-    if let Some(f) = &flight {
-        builder = builder.flight(f.recorder(), f.root());
-    }
-    if let Some(l) = &slog {
-        builder = builder.log(l.handle(), l.root());
-    }
-    let mut pipeline = builder
+    let mut pipeline = run
+        .wire(PipelineBuilder::new(broker, "vitals", |r| {
+            decode_vitals(&r.payload)
+        }))
         .map(move |v| {
             pipeline_clock.advance_micros(1);
             v
         })
         .build();
     let (records, metrics) = pipeline.collect()?;
-    stream_span.end();
-    if let Some(f) = &flight {
-        f.stage("healthcare/stream", stream_t0, clock.now_micros());
-    }
-    if let Some(s) = watch.as_deref_mut() {
-        s.tick_clock(&clock);
-    }
+    run.end_tick(stream);
 
     // Per-(patient, sign) m-of-n threshold detectors.
-    let detect_t0 = clock.now_micros();
-    let detect_span = tracer.span("healthcare/detect");
+    let detect = run.stage("healthcare/detect");
     let mut detectors: HashMap<(u32, u8), ThresholdDetector> = HashMap::new();
     let mut alerts: Vec<(u32, augur_sensor::VitalSign, u64)> = Vec::new();
     // The clock advances one work unit per record *inside* the loop
     // (same stage total as a bulk advance), so a watched session can
     // observe the detect stage as per-chunk cycles.
-    let mut chunk_t0 = clock.now_micros();
+    let mut chunk_t0 = run.now();
+    // Chunk trace roots carry a tag so their ids never collide with the
+    // patient-0 sample roots above — the exemplar on a slow chunk points
+    // at a distinct deterministic trace.
+    let chunk_ctx =
+        |chunk: usize| TraceContext::root(params.seed, 0x6368_756e_6b00_0000 | chunk as u64);
     for (i, r) in records.iter().enumerate() {
         let key = (r.patient, sign_idx(r.sign));
         let det = match detectors.entry(key) {
@@ -428,43 +288,25 @@ fn run_inner(
         }
         clock.advance_micros(1);
         if (i + 1) % WATCH_CHUNK == 0 {
-            if let Some(s) = watch.as_deref_mut() {
-                // Chunk trace roots carry a tag so their ids never collide
-                // with the patient-0 sample roots above — the exemplar on
-                // a slow chunk points at a distinct deterministic trace.
-                let ctx = TraceContext::root(
-                    params.seed,
-                    0x6368_756e_6b00_0000 | (i / WATCH_CHUNK) as u64,
-                );
-                s.observe_cycle_traced("healthcare", &clock, chunk_t0, ctx);
-                chunk_t0 = clock.now_micros();
-            }
+            run.cycle(chunk_t0, chunk_ctx(i / WATCH_CHUNK));
+            chunk_t0 = run.now();
         }
     }
     if records.len() % WATCH_CHUNK != 0 {
-        if let Some(s) = watch {
-            let ctx = TraceContext::root(
-                params.seed,
-                0x6368_756e_6b00_0000 | (records.len() / WATCH_CHUNK) as u64,
-            );
-            s.observe_cycle_traced("healthcare", &clock, chunk_t0, ctx);
-        }
+        run.cycle(chunk_t0, chunk_ctx(records.len() / WATCH_CHUNK));
     }
-    detect_span.end();
-    if let Some(f) = &flight {
-        f.stage("healthcare/detect", detect_t0, clock.now_micros());
-    }
+    run.end(detect);
 
     // Score against episode ground truth.
-    let score_t0 = clock.now_micros();
-    let score_span = tracer.span("healthcare/score");
+    let score = run.stage("healthcare/score");
     let mut detected = 0usize;
     let mut latencies: Vec<f64> = Vec::new();
     // Sample-to-alert latency distribution, for the declared
     // `healthcare_alert_p95` objective (and anyone else scraping the
     // registry). Sim time, microseconds.
-    let alert_latency =
-        registry.histogram_labeled("alert_latency_us", &[("scenario", "healthcare")]);
+    let alert_latency = run
+        .registry()
+        .histogram_labeled("alert_latency_us", &[("scenario", "healthcare")]);
     for ep in &episodes {
         let hit = alerts
             .iter()
@@ -480,10 +322,9 @@ fn run_inner(
             detected += 1;
             latencies.push(hit);
             alert_latency.record((hit * 1e6) as u64);
-        } else if let Some(l) = &slog {
-            l.warn(
+        } else {
+            run.warn(
                 "healthcare/missed_episode",
-                clock.now_micros(),
                 &[
                     ("patient", Arg::U64(ep.patient as u64)),
                     ("onset_us", Arg::U64(ep.start.as_micros())),
@@ -512,23 +353,16 @@ fn run_inner(
     };
     let patient_hours = params.patients as f64 * params.duration_s / 3600.0;
     clock.advance_micros(episodes.len() as u64);
-    score_span.end();
-    if let Some(f) = flight {
-        f.stage("healthcare/score", score_t0, clock.now_micros());
-        f.finish(clock.now_micros());
-    }
-    if let Some(l) = &slog {
-        l.info(
-            "healthcare/summary",
-            clock.now_micros(),
-            &[
-                ("episodes", Arg::U64(episodes.len() as u64)),
-                ("detected", Arg::U64(detected as u64)),
-                ("false_alarms", Arg::U64(false_alarms as u64)),
-                ("samples", Arg::U64(metrics.records_in)),
-            ],
-        );
-    }
+    run.end(score);
+    run.finish(
+        "healthcare/summary",
+        &[
+            ("episodes", Arg::U64(episodes.len() as u64)),
+            ("detected", Arg::U64(detected as u64)),
+            ("false_alarms", Arg::U64(false_alarms as u64)),
+            ("samples", Arg::U64(metrics.records_in)),
+        ],
+    );
     Ok(HealthcareReport {
         episodes: episodes.len(),
         detected,
@@ -557,6 +391,7 @@ fn sign_idx(s: augur_sensor::VitalSign) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use augur_telemetry::Registry;
 
     fn small() -> HealthcareParams {
         HealthcareParams {
@@ -572,7 +407,7 @@ mod tests {
 
     #[test]
     fn detects_most_episodes_quickly() {
-        let r = run(&small()).unwrap();
+        let r = run(&small(), &mut Obs::default()).unwrap();
         assert!(r.episodes > 0, "generator should inject episodes");
         assert!(r.recall > 0.85, "recall {}", r.recall);
         // m-of-n with m=2 at 1 Hz: detection within a few seconds.
@@ -582,7 +417,7 @@ mod tests {
 
     #[test]
     fn false_alarm_rate_is_low() {
-        let r = run(&small()).unwrap();
+        let r = run(&small(), &mut Obs::default()).unwrap();
         assert!(
             r.false_alarm_rate_per_patient_hour < 2.0,
             "rate {}",
@@ -592,7 +427,7 @@ mod tests {
 
     #[test]
     fn streams_every_sample() {
-        let r = run(&small()).unwrap();
+        let r = run(&small(), &mut Obs::default()).unwrap();
         // patients × signs × (duration / period)
         assert_eq!(r.samples_streamed, 20 * 3 * 900);
         assert!(r.pipeline_throughput_rps > 0.0);
@@ -600,8 +435,8 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let a = run(&small()).unwrap();
-        let b = run(&small()).unwrap();
+        let a = run(&small(), &mut Obs::default()).unwrap();
+        let b = run(&small(), &mut Obs::default()).unwrap();
         assert_eq!(a.episodes, b.episodes);
         assert_eq!(a.detected, b.detected);
         assert_eq!(a.false_alarms, b.false_alarms);
@@ -611,7 +446,7 @@ mod tests {
     fn instrumented_spans_cover_scenario_and_pipeline_stages() {
         let snapshot_of = || {
             let reg = Registry::new();
-            run_instrumented(&small(), &reg).unwrap();
+            run(&small(), &mut Obs::new(&reg)).unwrap();
             reg.snapshot()
         };
         let a = snapshot_of();
@@ -641,15 +476,21 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_params() {
-        assert!(run(&HealthcareParams {
-            patients: 0,
-            ..Default::default()
-        })
+        assert!(run(
+            &HealthcareParams {
+                patients: 0,
+                ..Default::default()
+            },
+            &mut Obs::default()
+        )
         .is_err());
-        assert!(run(&HealthcareParams {
-            period_s: 0.0,
-            ..Default::default()
-        })
+        assert!(run(
+            &HealthcareParams {
+                period_s: 0.0,
+                ..Default::default()
+            },
+            &mut Obs::default()
+        )
         .is_err());
     }
 }

@@ -1,74 +1,35 @@
 //! The four §3 application scenarios as runnable simulations.
 //!
 //! Each submodule exposes a `Params` (deterministic under its seed), a
-//! `run` entry point, and a typed `Report` carrying the quantities the
-//! experiment index in DESIGN.md references. The reports also feed the
-//! Figure 5 reconstruction in [`crate::influence`].
-//!
-//! Every scenario also has a `run_instrumented(params, &Registry)`
-//! variant that records a per-stage latency breakdown as span histograms
-//! (`span_duration_us{span="<scenario>/<stage>", scenario}`). Stage
-//! durations are **modeled**: a [`augur_telemetry::ManualTime`] is
-//! advanced by each stage's deterministic work count under the
-//! convention one work unit ≙ one microsecond, so the breakdown is
-//! bit-for-bit reproducible under the scenario seed — wall-clock timing
-//! stays in the benches, per the audit's simulation rules.
-
-//! Every scenario additionally has a
-//! `run_traced(params, &Registry, &FlightRecorder)` variant that emits
-//! causal flight-recorder spans alongside the histograms: a root span
-//! per run (per frame, for tourism) with the stage work as children, all
-//! timestamped on the same manual clock — so two runs under the same
-//! seed produce byte-identical traces.
-//!
-//! Finally, each scenario declares its service-level objectives in a
-//! `watch_config(seed)` and exposes
-//! `run_watched(params, &mut WatchSession)`: the run reports observed
-//! cycles (frames, simulation steps, detector chunks, or stages) into
-//! an [`augur_watch::WatchSession`], whose rollup windows, SLO burn-rate
-//! verdicts, and alert events all advance on the scenario's manual
-//! clock — bit-reproducible under the seed, and servable live via
-//! [`augur_watch::WatchSession::serve`].
-
-//! Each scenario also exposes `run_profiled(params, &Registry)`: the
-//! traced run folded into an [`augur_profile::Profile`] — per-stack-path
-//! inclusive/exclusive modeled time plus per-scope allocation stats —
-//! ready to export as a flamegraph (`render_folded`) or speedscope
-//! document. Same-seed runs produce byte-identical artifacts.
-
-//! Each also exposes `run_xray(params, &Registry)`: the traced run
-//! analyzed into an [`augur_xray::XrayReport`] — critical-path ranking,
-//! work/span parallel speedup bounds, and a per-stage queueing model —
-//! the numbers ROADMAP item 1's sharding must beat. Same-seed runs
-//! render byte-identical xray JSON.
-
-//! And each exposes `run_logged(params, &Registry, &FlightRecorder,
-//! &EventLog)`: the traced run plus a **structured event log** of the
-//! run's decisions — stream drop/checkpoint/resume rationale, stage
-//! summaries, and scenario-specific warnings — correlated to the same
-//! trace ids as the flight spans (see [`augur_log`]). Same-seed runs
-//! render byte-identical JSONL. Watched runs (`run_watched`) write the
-//! same records into the session's own event log, so the tail is served
-//! live at `/logs` and the declared log-error-rate SLO grades it.
+//! typed `Report` carrying the quantities the experiment index in
+//! DESIGN.md references (the reports also feed the Figure 5
+//! reconstruction in [`crate::influence`]), a `watch_config(seed)`
+//! declaring the scenario's service-level objectives, and one entry
+//! point, `run(params, &mut Obs)`. The [`Obs`] handle names the sinks
+//! the run reports into: per-stage span histograms
+//! (`span_duration_us{span="<scenario>/<stage>", scenario}`) always;
+//! with a flight recorder, causal spans (a run root with one child per
+//! stage, plus per-frame roots for tourism); with an event log, the
+//! run's decisions on the same trace ids, which
+//! [`augur_log::render_chrome_trace_with_logs`] interleaves with the
+//! spans; with a watch session, the run's cycles graded against
+//! `watch_config`'s objectives. Stage durations are **modeled**: a
+//! [`augur_telemetry::ManualTime`] advances by each stage's
+//! deterministic work count (one work unit ≙ one microsecond), so every
+//! artifact is byte-identical across same-seed runs, and no sink
+//! changes the report. Profiles and xray reports are post-processing of
+//! the recorder's drain ([`augur_profile::Profile::from_events`],
+//! [`augur_xray::analyze`]).
 
 pub mod healthcare;
+mod obs;
 pub mod retail;
 pub mod tourism;
 pub mod traffic;
 
-use augur_log::{Arg, EventLog, Level, LogSite};
-use augur_profile::Profile;
-use augur_telemetry::{FlightRecorder, NameId, Registry, TraceContext};
+pub use obs::Obs;
+
 use augur_watch::{BurnRule, Objective, SloSpec};
-use augur_xray::XrayReport;
-
-use crate::error::CoreError;
-
-/// Ring capacity for `run_profiled` recorders: large enough that no
-/// default-parameter scenario run ever wraps (a lapped ring would drop
-/// spans and corrupt the profile — the trace-loss SLO guards the
-/// watched variants of the same risk).
-const PROFILE_FLIGHT_CAPACITY: usize = 1 << 16;
 
 /// The shared trace-loss objective every scenario's `watch_config`
 /// declares: the flight ring must lose fewer than 1% of its records
@@ -147,191 +108,11 @@ pub(crate) fn obs_overhead_slo() -> SloSpec {
     }
 }
 
-/// Shared implementation of the scenarios' `run_profiled` variants:
-/// runs `run` against a fresh flight ring inside a `scenario`-named
-/// allocation scope, then folds the drained spans into a [`Profile`],
-/// attaches the run's per-scope allocation stats (scenario scope plus
-/// any `scenario/...` stage scopes), and exports those stats into
-/// `registry` as `profile_alloc_total` / `profile_alloc_bytes_total`
-/// counters.
-pub(crate) fn profiled_run<R>(
-    scenario: &str,
-    registry: &Registry,
-    run: impl FnOnce(&FlightRecorder) -> Result<R, CoreError>,
-) -> Result<(R, Profile), CoreError> {
-    let recorder = FlightRecorder::new(PROFILE_FLIGHT_CAPACITY);
-    let scope = augur_profile::register_scope(scenario);
-    let snapshot = augur_profile::AllocSnapshot::capture();
-    let guard = augur_profile::AllocScope::enter(scope);
-    let result = run(&recorder);
-    drop(guard);
-    let report = result?;
-    let prefix = format!("{scenario}/");
-    let stats: Vec<augur_profile::ScopeStat> = snapshot
-        .delta()
-        .into_iter()
-        .filter(|s| s.name == scenario || s.name.starts_with(&prefix))
-        .collect();
-    augur_profile::export_alloc_to_registry(&stats, registry);
-    let mut profile = Profile::from_events(&recorder.drain());
-    profile.attach_alloc(&stats);
-    Ok((report, profile))
-}
-
-/// Shared implementation of the scenarios' `run_xray` variants: runs
-/// `run` against a fresh flight ring (sized like the profiling ring so
-/// default-parameter runs never wrap), then analyzes the drained spans
-/// into an [`XrayReport`] — critical-path ranking, work/span speedup
-/// bounds, per-stage queueing model — and merges the registry's
-/// `pipeline_queue_*` metrics into the queue view. A lossy drain flags
-/// the report `truncated` instead of returning a silently wrong
-/// critical path.
-pub(crate) fn xray_run<R>(
-    scenario: &str,
-    registry: &Registry,
-    run: impl FnOnce(&FlightRecorder) -> Result<R, CoreError>,
-) -> Result<(R, XrayReport), CoreError> {
-    let recorder = FlightRecorder::new(PROFILE_FLIGHT_CAPACITY);
-    let report = run(&recorder)?;
-    let events = recorder.drain();
-    let xray = augur_xray::analyze(scenario, &events, recorder.dropped_events())
-        .with_registry(&registry.snapshot());
-    Ok((report, xray))
-}
-
-/// Structured-log wiring shared by the scenario runners. The root
-/// context derives exactly like [`ScenarioFlight`]'s (seed + FNV-1a of
-/// the scenario name), so when a run is both traced and logged the log
-/// records share the flight spans' trace ids — Perfetto shows them
-/// inline via [`augur_log::render_chrome_trace_with_logs`].
-pub(crate) struct ScenarioLog<'a> {
-    log: &'a EventLog,
-    root: TraceContext,
-    /// Lifecycle records (stage and run summaries): unlimited.
-    lifecycle: LogSite,
-    /// Per-event warnings: a deterministic burst cap, so a degenerate
-    /// parameterisation cannot flood the ring (the suppressed count
-    /// still says how often the decision fired).
-    warn_site: LogSite,
-}
-
-impl<'a> ScenarioLog<'a> {
-    /// Starts log wiring for `scenario`, or `None` when no log was
-    /// supplied (call sites stay branch-free, like [`ScenarioFlight`]).
-    pub(crate) fn start(log: Option<&'a EventLog>, scenario: &str, seed: u64) -> Option<Self> {
-        let log = log?;
-        let key = scenario.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        Some(ScenarioLog {
-            log,
-            root: TraceContext::root(seed, key),
-            lifecycle: LogSite::unlimited(),
-            warn_site: LogSite::new(32, 0),
-        })
-    }
-
-    /// The run-root context — same ids as [`ScenarioFlight::root`].
-    pub(crate) fn root(&self) -> TraceContext {
-        self.root
-    }
-
-    /// The underlying log, for wiring into substrate builders.
-    pub(crate) fn handle(&self) -> &'a EventLog {
-        self.log
-    }
-
-    /// Records a lifecycle INFO on the run root (never rate-limited).
-    pub(crate) fn info(&self, msg: &str, now_us: u64, fields: &[(&str, Arg)]) {
-        self.log
-            .event(&self.lifecycle, Level::Info, self.root, msg, now_us, fields);
-    }
-
-    /// Records a WARN decision on a named child of the run root,
-    /// rate-limited to a deterministic burst.
-    pub(crate) fn warn(&self, msg: &str, now_us: u64, fields: &[(&str, Arg)]) {
-        self.log.event(
-            &self.warn_site,
-            Level::Warn,
-            self.root.child_named(msg),
-            msg,
-            now_us,
-            fields,
-        );
-    }
-}
-
-/// Coarse flight wiring shared by the scenario runners: one root span
-/// covering the run, one child span per stage. All timestamps come from
-/// the scenario's [`augur_telemetry::ManualTime`], so emission is
-/// deterministic under the scenario seed.
-pub(crate) struct ScenarioFlight<'a> {
-    rec: &'a FlightRecorder,
-    root: TraceContext,
-    run_name: NameId,
-    t0: u64,
-}
-
-impl<'a> ScenarioFlight<'a> {
-    /// Starts a run-root trace for `scenario`, or returns `None` when no
-    /// recorder was supplied (so call sites stay branch-free). The trace
-    /// id derives from the seed and an FNV-1a hash of the scenario name,
-    /// matching the record-routing hash in `augur-stream`.
-    pub(crate) fn start(
-        rec: Option<&'a FlightRecorder>,
-        scenario: &str,
-        seed: u64,
-        now_us: u64,
-    ) -> Option<Self> {
-        let rec = rec?;
-        let key = scenario.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        Some(ScenarioFlight {
-            rec,
-            root: TraceContext::root(seed, key),
-            run_name: rec.intern(scenario),
-            t0: now_us,
-        })
-    }
-
-    /// The run-root context — parent for pipeline/store instrumentation
-    /// that should hang off this run in the trace.
-    pub(crate) fn root(&self) -> TraceContext {
-        self.root
-    }
-
-    /// The recorder this run emits into.
-    pub(crate) fn recorder(&self) -> &'a FlightRecorder {
-        self.rec
-    }
-
-    /// Records one completed stage span `[start_us, end_us)` as a child
-    /// of the run root.
-    pub(crate) fn stage(&self, name: &str, start_us: u64, end_us: u64) {
-        self.rec.record_span(
-            self.root.child_named(name),
-            self.rec.intern(name),
-            start_us,
-            end_us.saturating_sub(start_us),
-        );
-    }
-
-    /// Ends the run: records the root span covering start → `now_us`.
-    pub(crate) fn finish(self, now_us: u64) {
-        self.rec.record_span(
-            self.root,
-            self.run_name,
-            self.t0,
-            now_us.saturating_sub(self.t0),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use augur_log::render_jsonl;
+    use augur_log::{render_jsonl, EventLog, Level};
+    use augur_telemetry::{FlightRecorder, Registry};
 
     fn tourism_logged() -> (Vec<augur_log::LogRecord>, Vec<augur_telemetry::FlightEvent>) {
         let params = tourism::TourismParams {
@@ -343,7 +124,8 @@ mod tests {
         };
         let log = EventLog::new(1 << 12);
         let rec = FlightRecorder::new(1 << 14);
-        tourism::run_logged(&params, &Registry::new(), &rec, &log).expect("tourism run");
+        let mut obs = Obs::new(&Registry::new()).traced(&rec).logged(&log);
+        tourism::run(&params, &mut obs).expect("tourism run");
         assert_eq!(log.dropped_records(), 0, "log ring must not overflow");
         (log.drain(), rec.drain())
     }
@@ -388,7 +170,8 @@ mod tests {
         };
         let log = EventLog::new(1 << 12);
         let rec = FlightRecorder::new(1 << 15);
-        healthcare::run_logged(&params, &Registry::new(), &rec, &log).expect("healthcare run");
+        let mut obs = Obs::new(&Registry::new()).traced(&rec).logged(&log);
+        healthcare::run(&params, &mut obs).expect("healthcare run");
         let records = log.drain();
         let summary = records
             .iter()
@@ -416,8 +199,8 @@ mod tests {
         };
         let log = EventLog::new(1 << 12);
         let rec = FlightRecorder::new(1 << 14);
-        let report =
-            traffic::run_logged(&params, &Registry::new(), &rec, &log).expect("traffic run");
+        let mut obs = Obs::new(&Registry::new()).traced(&rec).logged(&log);
+        let report = traffic::run(&params, &mut obs).expect("traffic run");
         let records = log.drain();
         let warns: Vec<_> = records
             .iter()

@@ -8,11 +8,9 @@
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use augur_log::{Arg, EventLog};
-use augur_telemetry::{FlightRecorder, ManualTime, Registry, TimeSource, TraceContext, Tracer};
-use augur_watch::{
-    BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig, WatchSession,
-};
+use augur_log::Arg;
+use augur_telemetry::TraceContext;
+use augur_watch::{BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig};
 
 use augur_analytics::recommend::{evaluate, leave_one_out};
 use augur_analytics::{
@@ -24,6 +22,7 @@ use augur_semantic::{
     ActionTemplate, Condition, Fact, FeatureId, InterpretationEngine, Rule, UserContext,
 };
 
+use super::Obs;
 use crate::error::CoreError;
 
 /// Parameters for the retail scenario.
@@ -109,99 +108,6 @@ pub fn purchase_log(params: &RetailParams) -> Vec<Interaction> {
     log
 }
 
-/// Runs the scenario.
-///
-/// # Errors
-///
-/// [`CoreError::InvalidScenario`] for degenerate parameters.
-pub fn run(params: &RetailParams) -> Result<RetailReport, CoreError> {
-    run_instrumented(params, &Registry::new())
-}
-
-/// [`run`] with a per-stage latency breakdown recorded into `registry`
-/// as span histograms (`span_duration_us{span="retail/…"}`), using the
-/// modeled-work-unit convention described in [the module docs](crate::scenario).
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_instrumented(
-    params: &RetailParams,
-    registry: &Registry,
-) -> Result<RetailReport, CoreError> {
-    run_inner(params, registry, None, None, None)
-}
-
-/// [`run_instrumented`] plus causal flight-recorder emission: a root
-/// span covers the run, with `retail/log`, `retail/train`,
-/// `retail/evaluate`, and `retail/session` as children on the same
-/// manual clock — byte-identical traces under the same seed.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_traced(
-    params: &RetailParams,
-    registry: &Registry,
-    recorder: &FlightRecorder,
-) -> Result<RetailReport, CoreError> {
-    run_inner(params, registry, Some(recorder), None, None)
-}
-
-/// [`run_traced`] plus a structured event log of the run's decisions: a
-/// WARN (`retail/declutter_drop`) when the AR session's decluttered
-/// shelf layout had to drop labels, and a closing INFO
-/// (`retail/summary`) with the headline report numbers. Log records
-/// share the flight spans' trace ids, and same-seed runs render
-/// byte-identical JSONL.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_logged(
-    params: &RetailParams,
-    registry: &Registry,
-    recorder: &FlightRecorder,
-    log: &EventLog,
-) -> Result<RetailReport, CoreError> {
-    run_inner(params, registry, Some(recorder), None, Some(log))
-}
-
-/// [`run_traced`] folded into a deterministic profile
-/// (`retail;retail/train`, …): per-stack-path inclusive/exclusive
-/// modeled time plus allocation stats when the counting allocator is
-/// installed. Same-seed runs render byte-identical artifacts.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_profiled(
-    params: &RetailParams,
-    registry: &Registry,
-) -> Result<(RetailReport, augur_profile::Profile), CoreError> {
-    super::profiled_run("retail", registry, |rec| {
-        run_inner(params, registry, Some(rec), None, None)
-    })
-}
-
-/// [`run_traced`] analyzed into an [`augur_xray::XrayReport`]:
-/// critical-path ranking, work/span parallel speedup bounds, and a
-/// per-stage queueing model over the run's spans (plus live pipeline
-/// queue occupancy where the scenario runs one). Same-seed runs render
-/// byte-identical xray JSON.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_xray(
-    params: &RetailParams,
-    registry: &Registry,
-) -> Result<(RetailReport, augur_xray::XrayReport), CoreError> {
-    super::xray_run("retail", registry, |rec| {
-        run_inner(params, registry, Some(rec), None, None)
-    })
-}
-
 /// The scenario's declared service-level objective: p95 stage latency
 /// (`frame_latency_us{scenario=retail}` — each of log/train/evaluate/
 /// session is one observed cycle) at or under 50 ms of modeled work, so
@@ -246,97 +152,53 @@ pub fn watch_config(seed: u64) -> WatchConfig {
     }
 }
 
-/// [`run_traced`] under live health monitoring: each pipeline stage
-/// (log, train, evaluate, session) is reported to `session` as one
-/// observed cycle, and the session is finished when the run ends.
+/// Runs the scenario, reporting into `obs`.
+///
+/// The run's stages are `retail/log`, `retail/train`, `retail/evaluate`
+/// and `retail/session`; under watch, each stage is one observed cycle.
+/// With a log, the run records a WARN (`retail/declutter_drop`) when the
+/// AR session's decluttered shelf layout had to drop labels, and closes
+/// with an INFO (`retail/summary`).
 ///
 /// # Errors
 ///
-/// Same contract as [`run`].
-pub fn run_watched(
-    params: &RetailParams,
-    session: &mut WatchSession,
-) -> Result<RetailReport, CoreError> {
-    let registry = session.registry();
-    let recorder = session.recorder();
-    let log = session.log();
-    let report = run_inner(
-        params,
-        &registry,
-        Some(&recorder),
-        Some(session),
-        Some(&log),
-    )?;
-    session.finish();
-    Ok(report)
-}
-
-fn run_inner(
-    params: &RetailParams,
-    registry: &Registry,
-    recorder: Option<&FlightRecorder>,
-    mut watch: Option<&mut WatchSession>,
-    event_log: Option<&EventLog>,
-) -> Result<RetailReport, CoreError> {
+/// [`CoreError::InvalidScenario`] for degenerate parameters.
+pub fn run(params: &RetailParams, obs: &mut Obs) -> Result<RetailReport, CoreError> {
     if params.users == 0 || params.groups == 0 || params.products_per_group == 0 {
         return Err(CoreError::InvalidScenario("retail sizes must be positive"));
     }
     if params.top_k == 0 {
         return Err(CoreError::InvalidScenario("top_k must be positive"));
     }
-    let clock = ManualTime::shared();
-    let tracer = Tracer::with_labels(registry, clock.clone(), &[("scenario", "retail")]);
-    let flight = super::ScenarioFlight::start(recorder, "retail", params.seed, clock.now_micros());
-    let slog = super::ScenarioLog::start(event_log, "retail", params.seed);
-    let log_t0 = clock.now_micros();
-    let log_span = tracer.span("retail/log");
-    let log = purchase_log(params);
-    clock.advance_micros(log.len() as u64);
-    log_span.end();
-    if let Some(f) = &flight {
-        f.stage("retail/log", log_t0, clock.now_micros());
-    }
+    let mut run = obs.start("retail", params.seed);
+    let clock = run.clock().clone();
     // Each observed stage cycle carries a tagged deterministic trace
     // root, so the cycle histogram's exemplars name a distinct trace
     // per stage (tag keeps the ids clear of other scenario roots).
     let cycle_ctx = |stage: u64| TraceContext::root(params.seed, 0x7263_7963_0000_0000 | stage);
-    if let Some(s) = watch.as_deref_mut() {
-        s.observe_cycle_traced("retail", &clock, log_t0, cycle_ctx(0));
-    }
+    let log_stage = run.stage("retail/log");
+    let log = purchase_log(params);
+    clock.advance_micros(log.len() as u64);
+    run.end_cycle(log_stage, cycle_ctx(0));
 
-    let train_t0 = clock.now_micros();
-    let train_span = tracer.span("retail/train");
+    let train_stage = run.stage("retail/train");
     let (train, held) = leave_one_out(&log);
     let cf_model = ItemItemRecommender::train(&train, 30);
     let pop_model = PopularityRecommender::train(&train);
     let rnd_model = RandomRecommender::train(&train, params.seed);
     clock.advance_micros(train.len() as u64);
-    train_span.end();
-    if let Some(f) = &flight {
-        f.stage("retail/train", train_t0, clock.now_micros());
-    }
-    if let Some(s) = watch.as_deref_mut() {
-        s.observe_cycle_traced("retail", &clock, train_t0, cycle_ctx(1));
-    }
+    run.end_cycle(train_stage, cycle_ctx(1));
 
-    let eval_t0 = clock.now_micros();
-    let eval_span = tracer.span("retail/evaluate");
+    let eval_stage = run.stage("retail/evaluate");
     let cf = evaluate(&cf_model, &held, params.top_k);
     let popularity = evaluate(&pop_model, &held, params.top_k);
     let random = evaluate(&rnd_model, &held, params.top_k);
     clock.advance_micros(3 * held.len() as u64);
-    eval_span.end();
-    if let Some(f) = &flight {
-        f.stage("retail/evaluate", eval_t0, clock.now_micros());
-    }
-    if let Some(s) = watch.as_deref_mut() {
-        s.observe_cycle_traced("retail", &clock, eval_t0, cycle_ctx(2));
-    }
+    run.end_cycle(eval_stage, cycle_ctx(2));
 
     // AR session: shopper 0 walks an aisle; their top-k recommendations
     // become shelf labels, interpreted under a shopping context.
-    let session_t0 = clock.now_micros();
-    let session_span = tracer.span("retail/session");
+    let session = run.stage("retail/session");
     let mut engine = InterpretationEngine::new();
     engine.add_rule(
         Rule::new(
@@ -388,38 +250,25 @@ fn run_inner(
     let naive = LayoutMetrics::measure(&labels, &naive_layout(&labels, vp));
     let decluttered = LayoutMetrics::measure(&labels, &greedy_layout(&labels, vp));
     if decluttered.drop_ratio > 0.0 {
-        if let Some(l) = &slog {
-            l.warn(
-                "retail/declutter_drop",
-                clock.now_micros(),
-                &[
-                    ("labels", Arg::U64(labels.len() as u64)),
-                    ("drop_ratio", Arg::F64(decluttered.drop_ratio)),
-                ],
-            );
-        }
-    }
-    clock.advance_micros((directives.len() + labels.len()) as u64);
-    session_span.end();
-    if let Some(s) = watch {
-        s.observe_cycle_traced("retail", &clock, session_t0, cycle_ctx(3));
-    }
-    if let Some(f) = flight {
-        f.stage("retail/session", session_t0, clock.now_micros());
-        f.finish(clock.now_micros());
-    }
-    if let Some(l) = &slog {
-        l.info(
-            "retail/summary",
-            clock.now_micros(),
+        run.warn(
+            "retail/declutter_drop",
             &[
-                ("log_size", Arg::U64(log.len() as u64)),
-                ("overlays", Arg::U64(directives.len() as u64)),
-                ("cf_hit_rate", Arg::F64(cf.hit_rate)),
-                ("pop_hit_rate", Arg::F64(popularity.hit_rate)),
+                ("labels", Arg::U64(labels.len() as u64)),
+                ("drop_ratio", Arg::F64(decluttered.drop_ratio)),
             ],
         );
     }
+    clock.advance_micros((directives.len() + labels.len()) as u64);
+    run.end_cycle(session, cycle_ctx(3));
+    run.finish(
+        "retail/summary",
+        &[
+            ("log_size", Arg::U64(log.len() as u64)),
+            ("overlays", Arg::U64(directives.len() as u64)),
+            ("cf_hit_rate", Arg::F64(cf.hit_rate)),
+            ("pop_hit_rate", Arg::F64(popularity.hit_rate)),
+        ],
+    );
 
     Ok(RetailReport {
         uplift_vs_popularity: if popularity.hit_rate > 0.0 {
@@ -443,7 +292,7 @@ mod tests {
 
     #[test]
     fn cf_beats_baselines_at_default_scale() {
-        let report = run(&RetailParams::default()).unwrap();
+        let report = run(&RetailParams::default(), &mut Obs::default()).unwrap();
         assert!(
             report.cf.hit_rate > report.popularity.hit_rate,
             "cf {} vs pop {}",
@@ -457,7 +306,7 @@ mod tests {
 
     #[test]
     fn session_produces_decluttered_overlays() {
-        let report = run(&RetailParams::default()).unwrap();
+        let report = run(&RetailParams::default(), &mut Obs::default()).unwrap();
         assert!(report.overlays_shown > 0);
         assert!(report.decluttered_layout.overlap_ratio <= report.naive_layout.overlap_ratio);
         assert_eq!(report.decluttered_layout.overlap_ratio, 0.0);
@@ -465,35 +314,44 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let a = run(&RetailParams::default()).unwrap();
-        let b = run(&RetailParams::default()).unwrap();
+        let a = run(&RetailParams::default(), &mut Obs::default()).unwrap();
+        let b = run(&RetailParams::default(), &mut Obs::default()).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn rejects_degenerate_params() {
-        assert!(run(&RetailParams {
-            users: 0,
-            ..Default::default()
-        })
+        assert!(run(
+            &RetailParams {
+                users: 0,
+                ..Default::default()
+            },
+            &mut Obs::default()
+        )
         .is_err());
-        assert!(run(&RetailParams {
-            top_k: 0,
-            ..Default::default()
-        })
+        assert!(run(
+            &RetailParams {
+                top_k: 0,
+                ..Default::default()
+            },
+            &mut Obs::default()
+        )
         .is_err());
     }
 
     #[test]
     fn smaller_scale_still_orders_correctly() {
-        let report = run(&RetailParams {
-            users: 200,
-            products_per_group: 40,
-            groups: 4,
-            interactions_per_user: 10,
-            top_k: 8,
-            seed: 5,
-        })
+        let report = run(
+            &RetailParams {
+                users: 200,
+                products_per_group: 40,
+                groups: 4,
+                interactions_per_user: 10,
+                top_k: 8,
+                seed: 5,
+            },
+            &mut Obs::default(),
+        )
         .unwrap();
         assert!(report.cf.hit_rate >= report.random.hit_rate);
     }

@@ -8,13 +8,9 @@
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use augur_log::{Arg, EventLog};
-use augur_telemetry::{
-    FlightRecorder, ManualTime, NameId, Registry, TimeSource, TraceContext, Tracer,
-};
-use augur_watch::{
-    BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig, WatchSession,
-};
+use augur_log::Arg;
+use augur_telemetry::TraceContext;
+use augur_watch::{BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig};
 
 use augur_geo::{poi::synthetic_database, CityModel, CityParams, Enu, GeoPoint, LocalFrame};
 use augur_render::{
@@ -26,6 +22,7 @@ use augur_sensor::{
 };
 use augur_track::{registration::run_tracker, KalmanParams, KalmanTracker};
 
+use super::Obs;
 use crate::error::CoreError;
 
 /// Parameters for the tourism scenario.
@@ -81,104 +78,6 @@ pub struct TourismReport {
     pub decluttered_overlap: f64,
     /// Labels dropped by decluttering, as a fraction.
     pub declutter_drop_ratio: f64,
-}
-
-/// Runs the scenario.
-///
-/// # Errors
-///
-/// [`CoreError::InvalidScenario`] for degenerate parameters; geospatial
-/// errors propagate.
-pub fn run(params: &TourismParams) -> Result<TourismReport, CoreError> {
-    run_instrumented(params, &Registry::new())
-}
-
-/// [`run`] with a per-stage latency breakdown recorded into `registry`
-/// as span histograms (`span_duration_us{span="tourism/…"}`), using the
-/// modeled-work-unit convention described in [the module docs](crate::scenario).
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_instrumented(
-    params: &TourismParams,
-    registry: &Registry,
-) -> Result<TourismReport, CoreError> {
-    run_inner(params, registry, None, None, None)
-}
-
-/// [`run_instrumented`] plus causal flight-recorder emission: each
-/// rendered frame becomes a **root** span (`TraceContext::root(seed,
-/// frame_idx)`) with `tourism/retrieve`, `tourism/occlusion`, and
-/// `tourism/layout` children, and the setup/tracking stages hang off a
-/// per-run root. Timestamps come from the scenario's manual clock, so
-/// two runs under the same seed emit byte-identical traces.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_traced(
-    params: &TourismParams,
-    registry: &Registry,
-    recorder: &FlightRecorder,
-) -> Result<TourismReport, CoreError> {
-    run_inner(params, registry, Some(recorder), None, None)
-}
-
-/// [`run_traced`] plus a structured event log of the run's decisions:
-/// one rate-limited WARN (`tourism/declutter_drop`) per frame whose
-/// decluttered layout dropped labels, and a final INFO
-/// (`tourism/summary`) with the headline report numbers. Log records
-/// share the flight spans' trace ids (same seed + scenario-name root),
-/// so [`augur_log::render_chrome_trace_with_logs`] interleaves them,
-/// and same-seed runs render byte-identical JSONL.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_logged(
-    params: &TourismParams,
-    registry: &Registry,
-    recorder: &FlightRecorder,
-    log: &EventLog,
-) -> Result<TourismReport, CoreError> {
-    run_inner(params, registry, Some(recorder), None, Some(log))
-}
-
-/// [`run_traced`] folded into a deterministic profile: per-frame root
-/// stacks (`tourism/frame;tourism/retrieve`, …) with inclusive and
-/// exclusive modeled time, plus per-stage allocation stats when the
-/// counting allocator is installed (see [`augur_profile::alloc`]).
-/// Same-seed runs render byte-identical folded/speedscope artifacts.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_profiled(
-    params: &TourismParams,
-    registry: &Registry,
-) -> Result<(TourismReport, augur_profile::Profile), CoreError> {
-    super::profiled_run("tourism", registry, |rec| {
-        run_inner(params, registry, Some(rec), None, None)
-    })
-}
-
-/// [`run_traced`] analyzed into an [`augur_xray::XrayReport`]:
-/// critical-path ranking, work/span parallel speedup bounds, and a
-/// per-stage queueing model over the run's spans (plus live pipeline
-/// queue occupancy where the scenario runs one). Same-seed runs render
-/// byte-identical xray JSON.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_xray(
-    params: &TourismParams,
-    registry: &Registry,
-) -> Result<(TourismReport, augur_xray::XrayReport), CoreError> {
-    super::xray_run("tourism", registry, |rec| {
-        run_inner(params, registry, Some(rec), None, None)
-    })
 }
 
 /// The scenario's declared service-level objectives: a 60 FPS frame
@@ -241,82 +140,30 @@ pub fn watch_config(seed: u64) -> WatchConfig {
     }
 }
 
-/// [`run_traced`] under live health monitoring: every rendered frame is
-/// reported to `session` as an observed cycle (so the session's rollup
-/// windows, SLO verdicts, and burn-rate alerts advance on the scenario's
-/// own manual clock), and the session is finished when the run ends. The
-/// session's registry receives the scenario instrumentation and its
-/// flight ring the causal trace, so alert instants emitted by the SLO
-/// engine appear beside the frame spans they indict.
+/// Runs the scenario, reporting into `obs`.
+///
+/// With a flight recorder, each rendered frame is a **root** span
+/// (`TraceContext::root(seed, frame_idx)`) with `tourism/retrieve`,
+/// `tourism/occlusion` and `tourism/layout` children, and the
+/// setup/tracking stages hang off the run root. With a log, every frame
+/// whose decluttered layout dropped labels gets a rate-limited WARN
+/// (`tourism/declutter_drop`), and the run closes with an INFO
+/// (`tourism/summary`). Under watch, every frame is one observed cycle.
 ///
 /// # Errors
 ///
-/// Same contract as [`run`].
-pub fn run_watched(
-    params: &TourismParams,
-    session: &mut WatchSession,
-) -> Result<TourismReport, CoreError> {
-    let registry = session.registry();
-    let recorder = session.recorder();
-    let log = session.log();
-    let report = run_inner(
-        params,
-        &registry,
-        Some(&recorder),
-        Some(session),
-        Some(&log),
-    )?;
-    session.finish();
-    Ok(report)
-}
-
-/// Interned frame-stage names, so the per-frame loop never takes the
-/// recorder's name-table write lock.
-struct FrameWire<'a> {
-    rec: &'a FlightRecorder,
-    frame: NameId,
-    retrieve: NameId,
-    occlusion: NameId,
-    layout: NameId,
-}
-
-fn run_inner(
-    params: &TourismParams,
-    registry: &Registry,
-    recorder: Option<&FlightRecorder>,
-    mut watch: Option<&mut WatchSession>,
-    log: Option<&EventLog>,
-) -> Result<TourismReport, CoreError> {
+/// [`CoreError::InvalidScenario`] for degenerate parameters; geospatial
+/// errors propagate.
+pub fn run(params: &TourismParams, obs: &mut Obs) -> Result<TourismReport, CoreError> {
     if params.pois == 0 || params.k == 0 {
         return Err(CoreError::InvalidScenario("pois and k must be positive"));
     }
     if params.duration_s <= 0.0 {
         return Err(CoreError::InvalidScenario("duration must be positive"));
     }
-    let clock = ManualTime::shared();
-    let tracer = Tracer::with_labels(registry, clock.clone(), &[("scenario", "tourism")]);
-    let flight = super::ScenarioFlight::start(recorder, "tourism", params.seed, clock.now_micros());
-    let slog = super::ScenarioLog::start(log, "tourism", params.seed);
-    let wire = recorder.map(|rec| FrameWire {
-        rec,
-        frame: rec.intern("tourism/frame"),
-        retrieve: rec.intern("tourism/retrieve"),
-        occlusion: rec.intern("tourism/occlusion"),
-        layout: rec.intern("tourism/layout"),
-    });
-    // Per-stage allocation scopes: when the counting allocator is
-    // installed (`augur-profile`'s `global-alloc` feature, bins/tests
-    // only) every stage's allocations are charged to its span name, so
-    // profiles can be rendered by bytes as well as modeled time. The
-    // guards are plain thread-local stores — negligible either way.
-    let alloc_setup = augur_profile::register_scope("tourism/setup");
-    let alloc_tracking = augur_profile::register_scope("tourism/tracking");
-    let alloc_retrieve = augur_profile::register_scope("tourism/retrieve");
-    let alloc_occlusion = augur_profile::register_scope("tourism/occlusion");
-    let alloc_layout = augur_profile::register_scope("tourism/layout");
-    let setup_t0 = clock.now_micros();
-    let setup_span = tracer.span("tourism/setup");
-    let setup_alloc = augur_profile::AllocScope::enter(alloc_setup);
+    let mut run = obs.start("tourism", params.seed);
+    let clock = run.clock().clone();
+    let setup = run.stage("tourism/setup");
     let origin = GeoPoint::new(22.3364, 114.2655)?;
     let frame = LocalFrame::new(origin);
     let mut rng = rand::rngs::StdRng::seed_from_u64(params.seed);
@@ -324,19 +171,10 @@ fn run_inner(
     let city = CityModel::generate(&CityParams::default(), &mut rng);
     let occlusion = OcclusionIndex::build(&city);
     clock.advance_micros(params.pois as u64);
-    drop(setup_alloc);
-    setup_span.end();
-    if let Some(f) = &flight {
-        f.stage("tourism/setup", setup_t0, clock.now_micros());
-    }
-    if let Some(s) = watch.as_deref_mut() {
-        s.tick_clock(&clock);
-    }
+    run.end_tick(setup);
 
     // Ground truth walk + fused tracking.
-    let tracking_t0 = clock.now_micros();
-    let tracking_span = tracer.span("tourism/tracking");
-    let tracking_alloc = augur_profile::AllocScope::enter(alloc_tracking);
+    let tracking = run.stage("tourism/tracking");
     let traj_params = TrajectoryParams {
         half_extent_m: 350.0,
         speed_mps: 1.4,
@@ -361,14 +199,7 @@ fn run_inner(
     let mut tracker = KalmanTracker::new(KalmanParams::default());
     let poses = run_tracker(&mut tracker, &truth, &fixes, &readings);
     clock.advance_micros(truth.len() as u64);
-    drop(tracking_alloc);
-    tracking_span.end();
-    if let Some(f) = &flight {
-        f.stage("tourism/tracking", tracking_t0, clock.now_micros());
-    }
-    if let Some(s) = watch.as_deref_mut() {
-        s.tick_clock(&clock);
-    }
+    run.end_tick(tracking);
     let tracking_error_m = truth
         .iter()
         .zip(&poses)
@@ -396,33 +227,20 @@ fn run_inner(
         // spans (retrieve/occlusion/layout) link back to the frame that
         // produced them via `parent_span_id`.
         let frame_ctx = TraceContext::root(params.seed, i as u64);
-        let frame_t0 = clock.now_micros();
-        let retrieve_t0 = frame_t0;
-        let retrieve_span = tracer.span("tourism/retrieve");
-        let retrieve_alloc = augur_profile::AllocScope::enter(alloc_retrieve);
+        let frame_t0 = run.now();
+        let retrieve = run.stage_in(frame_ctx, "tourism/retrieve");
         let here = frame.to_geodetic(pose.position);
         let (near, knn_work) = db.nearest_counted(here, params.k);
         knn_total_work += knn_work;
         let (in_radius, scan_work) = db.within_radius_scan_counted(here, params.radius_m);
         scan_total_work += scan_work;
         clock.advance_micros((knn_work + scan_work) as u64);
-        drop(retrieve_alloc);
-        retrieve_span.end();
-        if let Some(w) = &wire {
-            w.rec.record_span(
-                frame_ctx.child_named("tourism/retrieve"),
-                w.retrieve,
-                retrieve_t0,
-                clock.now_micros() - retrieve_t0,
-            );
-        }
+        run.end(retrieve);
         let _ = in_radius.len();
         pois_surfaced += near.len();
 
         // Occlusion + x-ray for this frame.
-        let occlusion_t0 = clock.now_micros();
-        let occlusion_span = tracer.span("tourism/occlusion");
-        let occlusion_alloc = augur_profile::AllocScope::enter(alloc_occlusion);
+        let occlusion_stage = run.stage_in(frame_ctx, "tourism/occlusion");
         let camera = ViewCamera::new(
             Enu::new(pose.position.east, pose.position.north, 1.6),
             truth[i].heading_deg,
@@ -440,21 +258,10 @@ fn run_inner(
         let frame_reveals = xray_reveals(&camera, &targets, &occlusion);
         reveals += frame_reveals.iter().filter(|r| r.reveal).count();
         clock.advance_micros(targets.len() as u64);
-        drop(occlusion_alloc);
-        occlusion_span.end();
-        if let Some(w) = &wire {
-            w.rec.record_span(
-                frame_ctx.child_named("tourism/occlusion"),
-                w.occlusion,
-                occlusion_t0,
-                clock.now_micros() - occlusion_t0,
-            );
-        }
+        run.end(occlusion_stage);
 
         // Layout the labels for targets in view.
-        let layout_t0 = clock.now_micros();
-        let layout_span = tracer.span("tourism/layout");
-        let layout_alloc = augur_profile::AllocScope::enter(alloc_layout);
+        let layout = run.stage_in(frame_ctx, "tourism/layout");
         let labels: Vec<LabelBox> = targets
             .iter()
             .filter_map(|(id, pos)| {
@@ -474,58 +281,35 @@ fn run_inner(
             declutter_overlap_sum += greedy.overlap_ratio;
             drop_sum += greedy.drop_ratio;
             if greedy.drop_ratio > 0.0 {
-                if let Some(l) = &slog {
-                    l.warn(
-                        "tourism/declutter_drop",
-                        clock.now_micros(),
-                        &[
-                            ("frame", Arg::U64(i as u64)),
-                            ("labels", Arg::U64(labels.len() as u64)),
-                            ("drop_ratio", Arg::F64(greedy.drop_ratio)),
-                        ],
-                    );
-                }
+                run.warn(
+                    "tourism/declutter_drop",
+                    &[
+                        ("frame", Arg::U64(i as u64)),
+                        ("labels", Arg::U64(labels.len() as u64)),
+                        ("drop_ratio", Arg::F64(greedy.drop_ratio)),
+                    ],
+                );
             }
         }
         clock.advance_micros(labels.len() as u64);
-        drop(layout_alloc);
-        layout_span.end();
-        if let Some(w) = &wire {
-            w.rec.record_span(
-                frame_ctx.child_named("tourism/layout"),
-                w.layout,
-                layout_t0,
-                clock.now_micros() - layout_t0,
-            );
-        }
+        run.end(layout);
         // Observe the frame cycle before closing its span, so injected
         // fault latency (which advances the clock) inflates the recorded
         // `tourism/frame` span — the regression is causally visible in
         // the trace, not just in the SLO verdicts.
-        if let Some(s) = watch.as_deref_mut() {
-            s.observe_cycle_traced("tourism", &clock, frame_t0, frame_ctx);
-        }
-        if let Some(w) = &wire {
-            w.rec
-                .record_span(frame_ctx, w.frame, frame_t0, clock.now_micros() - frame_t0);
-        }
-    }
-    if let Some(f) = flight {
-        f.finish(clock.now_micros());
+        run.cycle(frame_t0, frame_ctx);
+        run.span_since(frame_ctx, "tourism/frame", frame_t0);
     }
     let q = queries.max(1) as f64;
-    if let Some(l) = &slog {
-        l.info(
-            "tourism/summary",
-            clock.now_micros(),
-            &[
-                ("queries", Arg::U64(queries as u64)),
-                ("pois_surfaced", Arg::U64(pois_surfaced as u64)),
-                ("xray_reveals", Arg::U64(reveals as u64)),
-                ("drop_ratio", Arg::F64(drop_sum / q)),
-            ],
-        );
-    }
+    run.finish(
+        "tourism/summary",
+        &[
+            ("queries", Arg::U64(queries as u64)),
+            ("pois_surfaced", Arg::U64(pois_surfaced as u64)),
+            ("xray_reveals", Arg::U64(reveals as u64)),
+            ("drop_ratio", Arg::F64(drop_sum / q)),
+        ],
+    );
     let knn_indexed_work = knn_total_work as f64 / q;
     let scan_work = scan_total_work as f64 / q;
     Ok(TourismReport {
@@ -549,6 +333,7 @@ fn run_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use augur_telemetry::Registry;
 
     fn small() -> TourismParams {
         TourismParams {
@@ -562,7 +347,7 @@ mod tests {
 
     #[test]
     fn index_beats_scan_and_pois_surface() {
-        let r = run(&small()).unwrap();
+        let r = run(&small(), &mut Obs::default()).unwrap();
         assert!(r.queries >= 29);
         assert!(r.pois_surfaced > 0);
         assert!(
@@ -575,7 +360,7 @@ mod tests {
 
     #[test]
     fn tracking_error_is_bounded() {
-        let r = run(&small()).unwrap();
+        let r = run(&small(), &mut Obs::default()).unwrap();
         assert!(
             r.tracking_error_m < 15.0,
             "fused tracking error {} m",
@@ -585,10 +370,13 @@ mod tests {
 
     #[test]
     fn declutter_improves_overlap() {
-        let r = run(&TourismParams {
-            pois: 8_000,
-            ..small()
-        })
+        let r = run(
+            &TourismParams {
+                pois: 8_000,
+                ..small()
+            },
+            &mut Obs::default(),
+        )
         .unwrap();
         assert!(r.decluttered_overlap <= r.naive_overlap);
         assert_eq!(r.decluttered_overlap, 0.0);
@@ -598,7 +386,7 @@ mod tests {
     fn instrumented_span_breakdown_is_deterministic() {
         let snapshot_of = || {
             let reg = Registry::new();
-            run_instrumented(&small(), &reg).unwrap();
+            run(&small(), &mut Obs::new(&reg)).unwrap();
             reg.snapshot()
         };
         let a = snapshot_of();
@@ -639,11 +427,14 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_params() {
-        assert!(run(&TourismParams { pois: 0, ..small() }).is_err());
-        assert!(run(&TourismParams {
-            duration_s: 0.0,
-            ..small()
-        })
+        assert!(run(&TourismParams { pois: 0, ..small() }, &mut Obs::default()).is_err());
+        assert!(run(
+            &TourismParams {
+                duration_s: 0.0,
+                ..small()
+            },
+            &mut Obs::default()
+        )
         .is_err());
     }
 }

@@ -13,15 +13,14 @@ use std::collections::HashMap;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use augur_log::{Arg, EventLog};
-use augur_telemetry::{FlightRecorder, ManualTime, Registry, TimeSource, TraceContext, Tracer};
-use augur_watch::{
-    BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig, WatchSession,
-};
+use augur_log::Arg;
+use augur_telemetry::TraceContext;
+use augur_watch::{BurnRule, Objective, RollupConfig, SloSpec, TierSpec, WatchConfig};
 
 use augur_geo::{CityModel, CityParams, Enu};
 use augur_sensor::{RoadGridWalk, Trajectory};
 
+use super::Obs;
 use crate::error::CoreError;
 
 /// Parameters for the traffic scenario.
@@ -114,99 +113,6 @@ fn predicted_min_distance(a: &Beacon, b: &Beacon, now_s: f64, horizon_s: f64) ->
     (dx * dx + dy * dy).sqrt()
 }
 
-/// Runs the scenario.
-///
-/// # Errors
-///
-/// [`CoreError::InvalidScenario`] for degenerate parameters.
-pub fn run(params: &TrafficParams) -> Result<TrafficReport, CoreError> {
-    run_instrumented(params, &Registry::new())
-}
-
-/// [`run`] with a per-stage latency breakdown recorded into `registry`
-/// as span histograms (`span_duration_us{span="traffic/…"}`), using the
-/// modeled-work-unit convention described in [the module docs](crate::scenario).
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_instrumented(
-    params: &TrafficParams,
-    registry: &Registry,
-) -> Result<TrafficReport, CoreError> {
-    run_inner(params, registry, None, None, None)
-}
-
-/// [`run_instrumented`] plus causal flight-recorder emission: a root
-/// span covers the run, with `traffic/setup`, `traffic/simulate`, and
-/// `traffic/score` as children on the same manual clock —
-/// byte-identical traces under the same seed.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_traced(
-    params: &TrafficParams,
-    registry: &Registry,
-    recorder: &FlightRecorder,
-) -> Result<TrafficReport, CoreError> {
-    run_inner(params, registry, Some(recorder), None, None)
-}
-
-/// [`run_traced`] plus a structured event log of the run's decisions: a
-/// rate-limited WARN (`traffic/warning_raised`) each time a vehicle's
-/// windshield display raises a collision warning, and a closing INFO
-/// (`traffic/summary`) with the headline report numbers. Log records
-/// share the flight spans' trace ids, and same-seed runs render
-/// byte-identical JSONL.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_logged(
-    params: &TrafficParams,
-    registry: &Registry,
-    recorder: &FlightRecorder,
-    log: &EventLog,
-) -> Result<TrafficReport, CoreError> {
-    run_inner(params, registry, Some(recorder), None, Some(log))
-}
-
-/// [`run_traced`] folded into a deterministic profile
-/// (`traffic;traffic/simulate`, …): per-stack-path inclusive/exclusive
-/// modeled time plus allocation stats when the counting allocator is
-/// installed. Same-seed runs render byte-identical artifacts.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_profiled(
-    params: &TrafficParams,
-    registry: &Registry,
-) -> Result<(TrafficReport, augur_profile::Profile), CoreError> {
-    super::profiled_run("traffic", registry, |rec| {
-        run_inner(params, registry, Some(rec), None, None)
-    })
-}
-
-/// [`run_traced`] analyzed into an [`augur_xray::XrayReport`]:
-/// critical-path ranking, work/span parallel speedup bounds, and a
-/// per-stage queueing model over the run's spans (plus live pipeline
-/// queue occupancy where the scenario runs one). Same-seed runs render
-/// byte-identical xray JSON.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_xray(
-    params: &TrafficParams,
-    registry: &Registry,
-) -> Result<(TrafficReport, augur_xray::XrayReport), CoreError> {
-    super::xray_run("traffic", registry, |rec| {
-        run_inner(params, registry, Some(rec), None, None)
-    })
-}
-
 /// The scenario's declared service-level objective: p95 per-step beacon
 /// processing latency (`frame_latency_us{scenario=traffic}`, modeled
 /// one work unit per beacon sent) at or under 10 ms — the windshield
@@ -251,38 +157,18 @@ pub fn watch_config(seed: u64) -> WatchConfig {
     }
 }
 
-/// [`run_traced`] under live health monitoring: every simulation step
-/// is reported to `session` as an observed cycle, and the session is
-/// finished when the run ends.
+/// Runs the scenario, reporting into `obs`.
+///
+/// The run's stages are `traffic/setup`, `traffic/simulate` and
+/// `traffic/score`; under watch, every simulation step is one observed
+/// cycle. With a log, each collision warning a vehicle's windshield
+/// display raises is a rate-limited WARN (`traffic/warning_raised`),
+/// and the run closes with an INFO (`traffic/summary`).
 ///
 /// # Errors
 ///
-/// Same contract as [`run`].
-pub fn run_watched(
-    params: &TrafficParams,
-    session: &mut WatchSession,
-) -> Result<TrafficReport, CoreError> {
-    let registry = session.registry();
-    let recorder = session.recorder();
-    let log = session.log();
-    let report = run_inner(
-        params,
-        &registry,
-        Some(&recorder),
-        Some(session),
-        Some(&log),
-    )?;
-    session.finish();
-    Ok(report)
-}
-
-fn run_inner(
-    params: &TrafficParams,
-    registry: &Registry,
-    recorder: Option<&FlightRecorder>,
-    mut watch: Option<&mut WatchSession>,
-    log: Option<&EventLog>,
-) -> Result<TrafficReport, CoreError> {
+/// [`CoreError::InvalidScenario`] for degenerate parameters.
+pub fn run(params: &TrafficParams, obs: &mut Obs) -> Result<TrafficReport, CoreError> {
     if params.vehicles < 2 {
         return Err(CoreError::InvalidScenario("need at least two vehicles"));
     }
@@ -294,12 +180,9 @@ fn run_inner(
     if !(0.0..1.0).contains(&params.loss) {
         return Err(CoreError::InvalidScenario("loss must be in [0, 1)"));
     }
-    let clock = ManualTime::shared();
-    let tracer = Tracer::with_labels(registry, clock.clone(), &[("scenario", "traffic")]);
-    let flight = super::ScenarioFlight::start(recorder, "traffic", params.seed, clock.now_micros());
-    let slog = super::ScenarioLog::start(log, "traffic", params.seed);
-    let setup_t0 = clock.now_micros();
-    let setup_span = tracer.span("traffic/setup");
+    let mut run = obs.start("traffic", params.seed);
+    let clock = run.clock().clone();
+    let setup = run.stage("traffic/setup");
     let mut rng = rand::rngs::StdRng::seed_from_u64(params.seed);
     let city = CityModel::generate(&CityParams::default(), &mut rng);
     let half_extent = city.extent().max_x();
@@ -322,16 +205,9 @@ fn run_inner(
         }
     }
     clock.advance_micros(params.vehicles as u64);
-    setup_span.end();
-    if let Some(f) = &flight {
-        f.stage("traffic/setup", setup_t0, clock.now_micros());
-    }
-    if let Some(s) = watch.as_deref_mut() {
-        s.tick_clock(&clock);
-    }
+    run.end_tick(setup);
 
-    let simulate_t0 = clock.now_micros();
-    let simulate_span = tracer.span("traffic/simulate");
+    let simulate = run.stage("traffic/simulate");
     let steps = (params.duration_s / params.dt_s) as usize;
     let n = params.vehicles;
     let mut last_heard: Vec<HashMap<usize, Beacon>> = vec![HashMap::new(); n];
@@ -346,7 +222,7 @@ fn run_inner(
     let mut states: Vec<augur_sensor::MotionState> = walkers.iter().map(|w| w.state()).collect();
     for step in 0..steps {
         let now_s = step as f64 * params.dt_s;
-        let step_t0 = clock.now_micros();
+        let step_t0 = run.now();
         let beacons_before = beacons_delivered + beacons_lost;
         for (state, w) in states.iter_mut().zip(walkers.iter_mut()) {
             *state = w.step(params.dt_s);
@@ -401,17 +277,14 @@ fn run_inner(
                     if pred < params.warn_threshold_m && !active {
                         warned_at.insert(pair, now_s);
                         warnings.push((pair, now_s));
-                        if let Some(l) = &slog {
-                            l.warn(
-                                "traffic/warning_raised",
-                                clock.now_micros(),
-                                &[
-                                    ("vehicle", Arg::U64(i as u64)),
-                                    ("neighbour", Arg::U64(j as u64)),
-                                    ("predicted_m", Arg::F64(pred)),
-                                ],
-                            );
-                        }
+                        run.warn(
+                            "traffic/warning_raised",
+                            &[
+                                ("vehicle", Arg::U64(i as u64)),
+                                ("neighbour", Arg::U64(j as u64)),
+                                ("predicted_m", Arg::F64(pred)),
+                            ],
+                        );
                     } else if pred >= params.warn_threshold_m * 2.0 && active {
                         warned_at.remove(&pair);
                     }
@@ -422,25 +295,20 @@ fn run_inner(
         // loop (same stage total as a bulk advance) lets a watched
         // session observe each simulation step as a cycle.
         clock.advance_micros(beacons_delivered + beacons_lost - beacons_before);
-        if let Some(s) = watch.as_deref_mut() {
-            // Each simulation step gets its own deterministic trace root
-            // (tagged so step ids never collide with other roots), so the
-            // cycle histogram can pin an exemplar trace per bucket.
-            let step_ctx = TraceContext::root(params.seed, 0x7374_6570_0000_0000 | step as u64);
-            s.observe_cycle_traced("traffic", &clock, step_t0, step_ctx);
-        }
+        // Each simulation step gets its own deterministic trace root
+        // (tagged so step ids never collide with other roots), so the
+        // cycle histogram can pin an exemplar trace per bucket.
+        run.cycle(
+            step_t0,
+            TraceContext::root(params.seed, 0x7374_6570_0000_0000 | step as u64),
+        );
     }
-
-    simulate_span.end();
-    if let Some(f) = &flight {
-        f.stage("traffic/simulate", simulate_t0, clock.now_micros());
-    }
+    run.end(simulate);
 
     // Score: a near miss is covered if a warning for the pair was raised
     // within [event - horizon, event]; a warning is a false alarm if no
     // near miss for the pair occurred within horizon after it.
-    let score_t0 = clock.now_micros();
-    let score_span = tracer.span("traffic/score");
+    let score = run.stage("traffic/score");
     let mut warned_in_time = 0usize;
     let mut lead_times = Vec::new();
     for (pair, t_event) in &near_miss_events {
@@ -468,23 +336,16 @@ fn run_inner(
         lead_times.iter().sum::<f64>() / lead_times.len() as f64
     };
     clock.advance_micros((warnings.len() + near_miss_events.len()) as u64);
-    score_span.end();
-    if let Some(f) = flight {
-        f.stage("traffic/score", score_t0, clock.now_micros());
-        f.finish(clock.now_micros());
-    }
-    if let Some(l) = &slog {
-        l.info(
-            "traffic/summary",
-            clock.now_micros(),
-            &[
-                ("near_misses", Arg::U64(near_miss_events.len() as u64)),
-                ("warned_in_time", Arg::U64(warned_in_time as u64)),
-                ("false_alarms", Arg::U64(false_alarms as u64)),
-                ("beacons_lost", Arg::U64(beacons_lost)),
-            ],
-        );
-    }
+    run.end(score);
+    run.finish(
+        "traffic/summary",
+        &[
+            ("near_misses", Arg::U64(near_miss_events.len() as u64)),
+            ("warned_in_time", Arg::U64(warned_in_time as u64)),
+            ("false_alarms", Arg::U64(false_alarms as u64)),
+            ("beacons_lost", Arg::U64(beacons_lost)),
+        ],
+    );
     Ok(TrafficReport {
         near_misses: near_miss_events.len(),
         warned_in_time,
@@ -508,6 +369,7 @@ fn run_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use augur_telemetry::Registry;
 
     fn small() -> TrafficParams {
         TrafficParams {
@@ -519,7 +381,7 @@ mod tests {
 
     #[test]
     fn produces_near_misses_and_warnings() {
-        let r = run(&small()).unwrap();
+        let r = run(&small(), &mut Obs::default()).unwrap();
         assert!(r.near_misses > 0, "grid traffic should produce near misses");
         assert!(r.warned_in_time > 0);
         assert!(r.coverage > 0.5, "coverage {}", r.coverage);
@@ -528,10 +390,13 @@ mod tests {
 
     #[test]
     fn loss_accounting_matches_probability() {
-        let r = run(&TrafficParams {
-            loss: 0.3,
-            ..small()
-        })
+        let r = run(
+            &TrafficParams {
+                loss: 0.3,
+                ..small()
+            },
+            &mut Obs::default(),
+        )
         .unwrap();
         let total = (r.beacons_delivered + r.beacons_lost) as f64;
         let rate = r.beacons_lost as f64 / total;
@@ -540,17 +405,23 @@ mod tests {
 
     #[test]
     fn sparser_sharing_degrades_coverage() {
-        let dense = run(&TrafficParams {
-            share_period_s: 0.2,
-            seed: 77,
-            ..small()
-        })
+        let dense = run(
+            &TrafficParams {
+                share_period_s: 0.2,
+                seed: 77,
+                ..small()
+            },
+            &mut Obs::default(),
+        )
         .unwrap();
-        let sparse = run(&TrafficParams {
-            share_period_s: 4.0,
-            seed: 77,
-            ..small()
-        })
+        let sparse = run(
+            &TrafficParams {
+                share_period_s: 4.0,
+                seed: 77,
+                ..small()
+            },
+            &mut Obs::default(),
+        )
         .unwrap();
         assert!(
             sparse.coverage <= dense.coverage + 0.05,
@@ -562,27 +433,36 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_params() {
-        assert!(run(&TrafficParams {
-            vehicles: 1,
-            ..small()
-        })
+        assert!(run(
+            &TrafficParams {
+                vehicles: 1,
+                ..small()
+            },
+            &mut Obs::default()
+        )
         .is_err());
-        assert!(run(&TrafficParams {
-            loss: 1.0,
-            ..small()
-        })
+        assert!(run(
+            &TrafficParams {
+                loss: 1.0,
+                ..small()
+            },
+            &mut Obs::default()
+        )
         .is_err());
-        assert!(run(&TrafficParams {
-            dt_s: 0.0,
-            ..small()
-        })
+        assert!(run(
+            &TrafficParams {
+                dt_s: 0.0,
+                ..small()
+            },
+            &mut Obs::default()
+        )
         .is_err());
     }
 
     #[test]
     fn deterministic_under_seed() {
-        let a = run(&small()).unwrap();
-        let b = run(&small()).unwrap();
+        let a = run(&small(), &mut Obs::default()).unwrap();
+        let b = run(&small(), &mut Obs::default()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -590,7 +470,7 @@ mod tests {
     fn instrumented_span_breakdown_is_deterministic() {
         let snapshot_of = || {
             let reg = Registry::new();
-            run_instrumented(&small(), &reg).unwrap();
+            run(&small(), &mut Obs::new(&reg)).unwrap();
             reg.snapshot()
         };
         let a = snapshot_of();

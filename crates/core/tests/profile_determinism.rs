@@ -2,12 +2,36 @@
 //! and a `ManualTime`-driven scenario must fold into byte-identical
 //! folded-stack and speedscope artifacts across runs, the profile's
 //! exclusive times must sum back to the root inclusive time, and every
-//! scenario's `run_profiled` must produce a non-empty profile whose
+//! scenario's traced drain must fold into a non-empty profile whose
 //! stacks mirror the scenario's stage names.
 #![allow(clippy::expect_used)]
 
-use augur_core::{healthcare, retail, tourism, traffic};
-use augur_telemetry::Registry;
+use augur_core::{healthcare, retail, tourism, traffic, CoreError, Obs};
+use augur_profile::{export_alloc_to_registry, AllocSnapshot, Profile};
+use augur_telemetry::{FlightRecorder, Registry};
+
+/// Runs `scenario` traced, then folds the drain into a profile with the
+/// run's allocation stats attached (and exported into `registry`).
+fn profiled<R>(
+    scenario: &str,
+    registry: &Registry,
+    run: impl FnOnce(&mut Obs) -> Result<R, CoreError>,
+) -> (R, Profile) {
+    let recorder = FlightRecorder::new(1 << 16);
+    let snapshot = AllocSnapshot::capture();
+    let report = run(&mut Obs::new(registry).traced(&recorder)).expect("runs");
+    let alloc = snapshot.delta_under(scenario);
+    export_alloc_to_registry(&alloc, registry);
+    let mut profile = Profile::from_events(&recorder.drain());
+    profile.attach_alloc(&alloc);
+    (report, profile)
+}
+
+fn profiled_tourism(registry: &Registry) -> (tourism::TourismReport, Profile) {
+    profiled("tourism", registry, |obs| {
+        tourism::run(&small_tourism(), obs)
+    })
+}
 
 fn small_tourism() -> tourism::TourismParams {
     tourism::TourismParams {
@@ -23,7 +47,7 @@ fn small_tourism() -> tourism::TourismParams {
 fn tourism_profile_artifacts_are_byte_identical_across_runs() {
     let run = || {
         let registry = Registry::new();
-        let (_, profile) = tourism::run_profiled(&small_tourism(), &registry).expect("runs");
+        let (_, profile) = profiled_tourism(&registry);
         (
             profile.render_folded(),
             profile.render_speedscope("tourism"),
@@ -39,7 +63,7 @@ fn tourism_profile_artifacts_are_byte_identical_across_runs() {
 #[test]
 fn tourism_profile_has_per_frame_stacks_and_balances() {
     let registry = Registry::new();
-    let (report, profile) = tourism::run_profiled(&small_tourism(), &registry).expect("runs");
+    let (report, profile) = profiled_tourism(&registry);
     assert!(report.queries >= 29);
     let folded = profile.render_folded();
     for stack in [
@@ -93,15 +117,21 @@ fn all_scenarios_run_profiled_nonempty_and_deterministic() {
         seed: 5,
     };
     let folded_traffic = || {
-        let (_, p) = traffic::run_profiled(&traffic_params, &Registry::new()).expect("runs");
+        let (_, p) = profiled("traffic", &Registry::new(), |obs| {
+            traffic::run(&traffic_params, obs)
+        });
         p.render_folded()
     };
     let folded_healthcare = || {
-        let (_, p) = healthcare::run_profiled(&healthcare_params, &Registry::new()).expect("runs");
+        let (_, p) = profiled("healthcare", &Registry::new(), |obs| {
+            healthcare::run(&healthcare_params, obs)
+        });
         p.render_folded()
     };
     let folded_retail = || {
-        let (_, p) = retail::run_profiled(&retail_params, &Registry::new()).expect("runs");
+        let (_, p) = profiled("retail", &Registry::new(), |obs| {
+            retail::run(&retail_params, obs)
+        });
         p.render_folded()
     };
     for (name, run) in [
@@ -122,7 +152,7 @@ fn all_scenarios_run_profiled_nonempty_and_deterministic() {
 #[test]
 fn profiled_run_exports_alloc_counters_when_counting() {
     let registry = Registry::new();
-    let (_, profile) = tourism::run_profiled(&small_tourism(), &registry).expect("runs");
+    let (_, profile) = profiled_tourism(&registry);
     let scoped = registry
         .snapshot()
         .counters

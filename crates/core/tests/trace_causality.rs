@@ -9,7 +9,7 @@ use std::collections::{HashMap, HashSet};
 
 use augur_core::scenario::healthcare;
 use augur_core::scenario::tourism;
-use augur_core::{HealthcareParams, TourismParams};
+use augur_core::{HealthcareParams, Obs, TourismParams};
 use augur_semantic::json::JsonValue;
 use augur_telemetry::{render_chrome_trace, FlightEvent, FlightRecorder, Registry};
 
@@ -40,7 +40,7 @@ fn small_healthcare() -> HealthcareParams {
 fn traced_tourism() -> Vec<FlightEvent> {
     let registry = Registry::new();
     let recorder = FlightRecorder::new(1 << 16);
-    let report = tourism::run_traced(&small_tourism(), &registry, &recorder);
+    let report = tourism::run(&small_tourism(), &mut Obs::new(&registry).traced(&recorder));
     assert!(report.is_ok(), "tourism run failed: {report:?}");
     assert_eq!(recorder.dropped_events(), 0, "ring must not overflow");
     recorder.drain()
@@ -49,7 +49,10 @@ fn traced_tourism() -> Vec<FlightEvent> {
 fn traced_healthcare() -> Vec<FlightEvent> {
     let registry = Registry::new();
     let recorder = FlightRecorder::new(1 << 16);
-    let report = healthcare::run_traced(&small_healthcare(), &registry, &recorder);
+    let report = healthcare::run(
+        &small_healthcare(),
+        &mut Obs::new(&registry).traced(&recorder),
+    );
     assert!(report.is_ok(), "healthcare run failed: {report:?}");
     assert_eq!(recorder.dropped_events(), 0, "ring must not overflow");
     recorder.drain()

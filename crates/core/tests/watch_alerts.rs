@@ -15,7 +15,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use augur_core::{healthcare, retail, tourism, traffic};
+use augur_core::{healthcare, retail, tourism, traffic, Obs};
 use augur_telemetry::{render_chrome_trace, FlightEvent};
 use augur_watch::WatchSession;
 
@@ -35,7 +35,7 @@ fn watched_tourism(inject_us: u64) -> (WatchSession, Vec<FlightEvent>) {
     let mut config = tourism::watch_config(7);
     config.inject_cycle_delay_us = inject_us;
     let mut session = WatchSession::new(config).expect("valid watch config");
-    tourism::run_watched(&small_tourism(), &mut session).expect("scenario runs");
+    tourism::run(&small_tourism(), &mut Obs::watched(&mut session)).expect("scenario runs");
     let events = session.recorder().drain();
     (session, events)
 }
@@ -106,7 +106,7 @@ fn undersized_flight_ring_fires_the_trace_loss_slo() {
         duration_s: 120.0,
         ..small_tourism()
     };
-    tourism::run_watched(&params, &mut session).expect("scenario runs");
+    tourism::run(&params, &mut Obs::watched(&mut session)).expect("scenario runs");
     let health = session.health();
     let trace_loss = health
         .slos
@@ -191,7 +191,7 @@ fn healthcare_watch_grades_alert_latency_and_drop_ratio() {
         ..Default::default()
     };
     let mut session = WatchSession::new(healthcare::watch_config(3)).expect("valid watch config");
-    let report = healthcare::run_watched(&params, &mut session).expect("scenario runs");
+    let report = healthcare::run(&params, &mut Obs::watched(&mut session)).expect("scenario runs");
     assert!(report.detected > 0);
     let health = session.health();
     assert!(health.ok, "ward within objectives: {:?}", health.slos);
@@ -245,7 +245,7 @@ fn traffic_and_retail_run_watched_and_stay_ok() {
         duration_s: 30.0,
         ..Default::default()
     };
-    traffic::run_watched(&params, &mut session).expect("scenario runs");
+    traffic::run(&params, &mut Obs::watched(&mut session)).expect("scenario runs");
     assert!(session.health().ok, "{:?}", session.health().slos);
     assert!(session
         .rollup()
@@ -262,10 +262,10 @@ fn traffic_and_retail_run_watched_and_stay_ok() {
         top_k: 8,
         seed: 5,
     };
-    retail::run_watched(&params, &mut session).expect("scenario runs");
+    retail::run(&params, &mut Obs::watched(&mut session)).expect("scenario runs");
     assert!(session.health().ok, "{:?}", session.health().slos);
     // Deterministic: the same watched run yields the same dashboard.
     let mut again = WatchSession::new(retail::watch_config(5)).expect("valid watch config");
-    retail::run_watched(&params, &mut again).expect("scenario runs");
+    retail::run(&params, &mut Obs::watched(&mut again)).expect("scenario runs");
     assert_eq!(session.dashboard(), again.dashboard());
 }

@@ -1,8 +1,8 @@
 //! Log-fingerprint mode (`--logs`): novel-error-pattern detection.
 //!
 //! The pairwise gate watches *metrics*; this mode watches the
-//! *narrative*. It reduces a JSONL event log (the artifact `run_logged`
-//! scenarios and the watch `/logs` tail emit) to a set of WARN/ERROR
+//! *narrative*. It reduces a JSONL event log (the artifact logged
+//! scenario runs and the watch `/logs` tail emit) to a set of WARN/ERROR
 //! **pattern fingerprints** — `(level, message with digit runs
 //! collapsed to '#')` — and diffs that set against a committed
 //! baseline. A pattern the baseline has never seen fails the gate:

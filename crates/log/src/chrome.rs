@@ -3,10 +3,10 @@
 //! as instant events, in one Perfetto-loadable document — so a WARN
 //! about a late drop renders *inside* the frame span that caused it.
 //!
-//! The span rendering matches `augur_telemetry::render_chrome_trace`
-//! (same `ph`/`cat`/`args` shape, same lane-keyed thread rows); log
-//! records add `"cat":"log"` instants whose `args` carry the level and
-//! the typed fields. Worker-lane spans render on `tid == lane id` with
+//! Spans and metadata rows are written by the same row writers as
+//! `augur_telemetry::render_chrome_trace`; log records add
+//! `"cat":"log"` instants whose `args` carry the level and the typed
+//! fields. Worker-lane spans render on `tid == lane id` with
 //! a named `thread_name` row; control-lane events and logs are
 //! assigned per-`trace_id` synthetic tids (offset above
 //! [`CONTROL_TID_BASE`](augur_telemetry::chrome::CONTROL_TID_BASE), in
@@ -16,8 +16,10 @@
 
 use std::fmt::Write as _;
 
-use augur_telemetry::chrome::CONTROL_TID_BASE;
-use augur_telemetry::{escape_json, json_f64, FlightEvent, FlightEventKind, LaneId};
+use augur_telemetry::chrome::{
+    write_event, write_process_name, write_thread_name, CONTROL_TID_BASE,
+};
+use augur_telemetry::{escape_json, json_f64, FlightEvent, LaneId};
 
 use crate::export::canonical_order;
 use crate::ring::{FieldValue, LogRecord};
@@ -75,63 +77,22 @@ pub fn render_chrome_trace_with_logs(
         CONTROL_TID_BASE + pos as u64
     };
     let mut out = String::from("{\"traceEvents\":[");
-    let _ = write!(
-        out,
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        escape_json(process_name)
-    );
+    write_process_name(&mut out, process_name);
     for lane in &worker_lanes {
         out.push(',');
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-             \"args\":{{\"name\":\"lane-{}\"}}}}",
-            lane.0, lane.0
-        );
+        write_thread_name(&mut out, u64::from(lane.0), &format!("lane-{}", lane.0));
     }
-    for (idx, _) in chains.iter().enumerate() {
+    for idx in 0..chains.len() {
         out.push(',');
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-             \"args\":{{\"name\":\"trace-{idx}\"}}}}",
+        write_thread_name(
+            &mut out,
             CONTROL_TID_BASE + idx as u64,
+            &format!("trace-{idx}"),
         );
     }
     for e in spans {
-        let tid = tid_of(e.trace_id, e.lane);
         out.push(',');
-        match e.kind {
-            FlightEventKind::Span => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":1,\"tid\":{tid},\"args\":{{\"trace_id\":\"{:016x}\",\
-                     \"span_id\":\"{:016x}\",\"parent_span_id\":\"{:016x}\"}}}}",
-                    escape_json(&e.name),
-                    e.ts_us,
-                    e.dur_us,
-                    e.trace_id,
-                    e.span_id,
-                    e.parent_span_id
-                );
-            }
-            FlightEventKind::Instant => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
-                     \"pid\":1,\"tid\":{tid},\"args\":{{\"trace_id\":\"{:016x}\",\
-                     \"span_id\":\"{:016x}\",\"parent_span_id\":\"{:016x}\",\"arg\":{}}}}}",
-                    escape_json(&e.name),
-                    e.ts_us,
-                    e.trace_id,
-                    e.span_id,
-                    e.parent_span_id,
-                    e.arg
-                );
-            }
-        }
+        write_event(&mut out, e, tid_of(e.trace_id, e.lane));
     }
     for r in &sorted_logs {
         let tid = tid_of(r.trace_id, LaneId::CONTROL);
@@ -222,6 +183,31 @@ mod tests {
         assert_eq!(
             render_chrome_trace_with_logs("p", &spans, &logs),
             render_chrome_trace_with_logs("p", &spans, &logs)
+        );
+    }
+
+    #[test]
+    fn without_logs_matches_the_span_only_renderer() {
+        // Two control-lane chains plus a worker lane whose trace never
+        // touches the control lane: with no logs to place, the merged
+        // document is the span-only document byte for byte.
+        let (mut spans, _) = sample();
+        let rec = FlightRecorder::new(16);
+        let n = rec.intern("frame");
+        rec.record_instant(TraceContext::root(7, 1), n, 1_200, 9);
+        spans.extend(rec.drain());
+        let lanes = augur_telemetry::Lanes::new(9, 16);
+        let pump = lanes.register("pump");
+        let time = augur_telemetry::ManualTime::shared();
+        let clock: augur_telemetry::Clock = time.clone();
+        let poll = pump.recorder().intern("poll");
+        let work = pump.work(&clock, pump.root(), poll);
+        time.advance_micros(5);
+        work.end();
+        spans.extend(lanes.merge_drains().events);
+        assert_eq!(
+            render_chrome_trace_with_logs("p \"q\"", &spans, &[]),
+            augur_telemetry::render_chrome_trace("p \"q\"", &spans)
         );
     }
 }

@@ -172,6 +172,19 @@ impl AllocSnapshot {
         }
         out
     }
+
+    /// [`AllocSnapshot::delta`] restricted to scope `root` and the
+    /// scopes nested under it by name (`root/...`) — one scenario run's
+    /// activity, say, without the other threads' scopes.
+    pub fn delta_under(&self, root: &str) -> Vec<ScopeStat> {
+        let mut stats = self.delta();
+        stats.retain(|s| {
+            s.name
+                .strip_prefix(root)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+        });
+        stats
+    }
 }
 
 /// Exports per-scope allocation stats as registry counters
@@ -290,6 +303,26 @@ mod tests {
             assert!(stat.bytes >= 512 * 8);
         } else {
             assert!(mine.is_none(), "no counts without the global allocator");
+        }
+    }
+
+    #[test]
+    fn delta_under_keeps_the_root_and_its_nested_scopes() {
+        let snap = AllocSnapshot::capture();
+        for name in ["alloc-under", "alloc-under/stage", "alloc-underscore"] {
+            let _guard = AllocScope::enter(register_scope(name));
+            let v: Vec<u64> = (0..64).collect();
+            std::hint::black_box(&v);
+        }
+        let names: Vec<String> = snap
+            .delta_under("alloc-under")
+            .into_iter()
+            .map(|s| s.name)
+            .collect();
+        if counting_enabled() {
+            assert_eq!(names, ["alloc-under", "alloc-under/stage"]);
+        } else {
+            assert!(names.is_empty());
         }
     }
 

@@ -75,44 +75,27 @@ pub fn render_chrome_trace_with_lanes(
     }
 
     let mut out = String::from("{\"traceEvents\":[");
-    let _ = write!(
-        out,
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        escape_json(process_name)
-    );
+    write_process_name(&mut out, process_name);
     for (id, name) in &worker_lanes {
         out.push(',');
         if name.is_empty() {
-            let _ = write!(
-                out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-                 \"args\":{{\"name\":\"lane-{}\"}}}}",
-                id.0, id.0
-            );
+            write_thread_name(&mut out, u64::from(id.0), &format!("lane-{}", id.0));
         } else {
-            let _ = write!(
-                out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                id.0,
-                escape_json(name)
-            );
+            write_thread_name(&mut out, u64::from(id.0), name);
         }
     }
-    for (idx, _) in chains.iter().enumerate() {
+    for idx in 0..chains.len() {
         out.push(',');
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-             \"args\":{{\"name\":\"trace-{idx}\"}}}}",
+        write_thread_name(
+            &mut out,
             CONTROL_TID_BASE + idx as u64,
+            &format!("trace-{idx}"),
         );
     }
     for e in events {
         let tid = event_tid(e, &chains);
         out.push(',');
-        render_event(&mut out, e, tid);
+        write_event(&mut out, e, tid);
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
     out
@@ -129,9 +112,29 @@ pub(crate) fn event_tid(e: &FlightEvent, chains: &[u64]) -> u64 {
     }
 }
 
-/// Writes one span/instant row (shared with the log-merged renderer's
-/// span half via duplication kept byte-compatible).
-fn render_event(out: &mut String, e: &FlightEvent, tid: u64) {
+/// Writes the `process_name` metadata row naming the single process.
+pub fn write_process_name(out: &mut String, process_name: &str) {
+    let _ = write!(
+        out,
+        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+         \"args\":{{\"name\":\"{}\"}}}}",
+        escape_json(process_name)
+    );
+}
+
+/// Writes the `thread_name` metadata row naming timeline row `tid`.
+pub fn write_thread_name(out: &mut String, tid: u64, name: &str) {
+    let _ = write!(
+        out,
+        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
+         \"args\":{{\"name\":\"{}\"}}}}",
+        escape_json(name)
+    );
+}
+
+/// Writes one span (`"ph":"X"`) or instant (`"ph":"i"`) row on row
+/// `tid`, with the causal ids in `args`.
+pub fn write_event(out: &mut String, e: &FlightEvent, tid: u64) {
     match e.kind {
         FlightEventKind::Span => {
             let _ = write!(

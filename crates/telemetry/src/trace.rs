@@ -43,8 +43,9 @@ pub fn mix64(mut x: u64) -> u64 {
 }
 
 /// FNV-1a over a name, used to salt child-span derivation so siblings
-/// with different stage names get distinct span ids.
-fn name_salt(name: &str) -> u64 {
+/// with different stage names get distinct span ids, to key named roots
+/// ([`TraceContext::root_named`]) and to pick registry shards.
+pub fn name_salt(name: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.as_bytes() {
         h ^= u64::from(*b);
@@ -90,6 +91,12 @@ impl TraceContext {
             parent_span_id: 0,
             sampled: true,
         }
+    }
+
+    /// A root context keyed by a name (a scenario or bench binary):
+    /// [`TraceContext::root`] with the FNV-1a hash of `name` as key.
+    pub fn root_named(seed: u64, name: &str) -> TraceContext {
+        TraceContext::root(seed, name_salt(name))
     }
 
     /// A child of `self` salted by an arbitrary `salt` (use a stage
@@ -161,6 +168,19 @@ mod tests {
         assert_eq!(
             root.child(1).span_id,
             TraceContext::root(5, 5).child(1).span_id
+        );
+    }
+
+    #[test]
+    fn named_roots_key_on_the_fnv1a_name_hash() {
+        // FNV-1a 64 of "tourism", computed independently of `name_salt`.
+        let key = "tourism".bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(name_salt("tourism"), key);
+        assert_eq!(
+            TraceContext::root_named(23, "tourism"),
+            TraceContext::root(23, key)
         );
     }
 

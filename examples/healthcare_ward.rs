@@ -19,9 +19,8 @@
 //! `results/healthcare_ward.xray.json` — byte-identical across
 //! same-seed runs, diffable with `augur-doctor --xray`.
 
-use augur::core::healthcare::{
-    run_instrumented, run_traced, run_watched, run_xray, watch_config, HealthcareParams,
-};
+use augur::core::healthcare::{run, watch_config, HealthcareParams};
+use augur::core::Obs;
 use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder, Registry};
 use augur::watch::WatchSession;
 
@@ -40,11 +39,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut watch_session = None;
     let report = if watch {
         let mut session = WatchSession::new(watch_config(params.seed))?;
-        let report = run_watched(&params, &mut session)?;
+        let report = run(&params, &mut Obs::watched(&mut session))?;
         watch_session = Some(session);
         report
     } else if xray_run {
-        let (report, xray) = run_xray(&params, &registry)?;
+        let recorder = FlightRecorder::new(1 << 16);
+        let report = run(&params, &mut Obs::new(&registry).traced(&recorder))?;
+        let xray = augur::xray::analyze("healthcare", &recorder.drain(), recorder.dropped_events())
+            .with_registry(&registry.snapshot());
         std::fs::create_dir_all("results")?;
         let path = "results/healthcare_ward.xray.json";
         std::fs::write(path, xray.render_json())?;
@@ -53,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report
     } else if trace {
         let recorder = FlightRecorder::new(1 << 16);
-        let report = run_traced(&params, &registry, &recorder)?;
+        let report = run(&params, &mut Obs::new(&registry).traced(&recorder))?;
         let events = recorder.drain();
         std::fs::create_dir_all("results")?;
         let path = "results/healthcare.trace.json";
@@ -65,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         report
     } else {
-        run_instrumented(&params, &registry)?
+        run(&params, &mut Obs::new(&registry))?
     };
     println!("\nstreaming:");
     println!("  samples through broker  {}", report.samples_streamed);

@@ -18,9 +18,8 @@
 //! `results/retail_store.xray.json` — byte-identical across same-seed
 //! runs, diffable with `augur-doctor --xray`.
 
-use augur::core::retail::{
-    run_instrumented, run_traced, run_watched, run_xray, watch_config, RetailParams,
-};
+use augur::core::retail::{run, watch_config, RetailParams};
+use augur::core::Obs;
 use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder, Registry};
 use augur::watch::WatchSession;
 
@@ -37,11 +36,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut watch_session = None;
     let report = if watch {
         let mut session = WatchSession::new(watch_config(params.seed))?;
-        let report = run_watched(&params, &mut session)?;
+        let report = run(&params, &mut Obs::watched(&mut session))?;
         watch_session = Some(session);
         report
     } else if xray_run {
-        let (report, xray) = run_xray(&params, &registry)?;
+        let recorder = FlightRecorder::new(1 << 16);
+        let report = run(&params, &mut Obs::new(&registry).traced(&recorder))?;
+        let xray = augur::xray::analyze("retail", &recorder.drain(), recorder.dropped_events())
+            .with_registry(&registry.snapshot());
         std::fs::create_dir_all("results")?;
         let path = "results/retail_store.xray.json";
         std::fs::write(path, xray.render_json())?;
@@ -50,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report
     } else if trace {
         let recorder = FlightRecorder::new(1 << 16);
-        let report = run_traced(&params, &registry, &recorder)?;
+        let report = run(&params, &mut Obs::new(&registry).traced(&recorder))?;
         let events = recorder.drain();
         std::fs::create_dir_all("results")?;
         let path = "results/retail.trace.json";
@@ -62,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         report
     } else {
-        run_instrumented(&params, &registry)?
+        run(&params, &mut Obs::new(&registry))?
     };
     println!(
         "\nrecommender quality (leave-one-out, hit-rate@{}):",

@@ -19,9 +19,8 @@
 //! `results/smart_traffic.xray.json` — byte-identical across same-seed
 //! runs, diffable with `augur-doctor --xray`.
 
-use augur::core::traffic::{
-    run, run_instrumented, run_traced, run_watched, run_xray, watch_config, TrafficParams,
-};
+use augur::core::traffic::{run, watch_config, TrafficParams};
+use augur::core::Obs;
 use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder, Registry};
 use augur::watch::WatchSession;
 
@@ -41,11 +40,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut watch_session = None;
     let report = if watch {
         let mut session = WatchSession::new(watch_config(params.seed))?;
-        let report = run_watched(&params, &mut session)?;
+        let report = run(&params, &mut Obs::watched(&mut session))?;
         watch_session = Some(session);
         report
     } else if xray_run {
-        let (report, xray) = run_xray(&params, &registry)?;
+        let recorder = FlightRecorder::new(1 << 16);
+        let report = run(&params, &mut Obs::new(&registry).traced(&recorder))?;
+        let xray = augur::xray::analyze("traffic", &recorder.drain(), recorder.dropped_events())
+            .with_registry(&registry.snapshot());
         std::fs::create_dir_all("results")?;
         let path = "results/smart_traffic.xray.json";
         std::fs::write(path, xray.render_json())?;
@@ -54,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report
     } else if trace {
         let recorder = FlightRecorder::new(1 << 16);
-        let report = run_traced(&params, &registry, &recorder)?;
+        let report = run(&params, &mut Obs::new(&registry).traced(&recorder))?;
         let events = recorder.drain();
         std::fs::create_dir_all("results")?;
         let path = "results/traffic.trace.json";
@@ -66,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         report
     } else {
-        run_instrumented(&params, &registry)?
+        run(&params, &mut Obs::new(&registry))?
     };
     println!("\nchannel:");
     println!(
@@ -84,10 +86,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sweep the sharing period to show the timeliness trade.
     println!("\nsharing-period sweep (coverage / lead time):");
     for period in [0.2, 0.5, 1.0, 2.0, 4.0] {
-        let r = run(&TrafficParams {
-            share_period_s: period,
-            ..params.clone()
-        })?;
+        let r = run(
+            &TrafficParams {
+                share_period_s: period,
+                ..params.clone()
+            },
+            &mut Obs::default(),
+        )?;
         println!(
             "  {:>4.1} s  →  {:>5.1}%  /  {:.2} s",
             period,

@@ -33,11 +33,10 @@
 //! --xray` diffs against a committed baseline. Byte-identical across
 //! same-seed runs.
 
-use augur::core::tourism::{
-    run_instrumented, run_logged, run_profiled, run_traced, run_watched, run_xray, watch_config,
-    TourismParams,
-};
+use augur::core::tourism::{run, watch_config, TourismParams};
+use augur::core::Obs;
 use augur::log::{render_jsonl, EventLog};
+use augur::profile::{export_alloc_to_registry, AllocSnapshot, Profile};
 use augur::telemetry::{render_chrome_trace, render_span_breakdown, FlightRecorder, Registry};
 use augur::watch::WatchSession;
 
@@ -75,11 +74,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut config = watch_config(params.seed);
         config.inject_cycle_delay_us = arg_u64("--inject-us").unwrap_or(0);
         let mut session = WatchSession::new(config)?;
-        let report = run_watched(&params, &mut session)?;
+        let report = run(&params, &mut Obs::watched(&mut session))?;
         watch_session = Some(session);
         report
     } else if profile_run {
-        let (report, profile) = run_profiled(&params, &registry)?;
+        let recorder = FlightRecorder::new(1 << 16);
+        let snapshot = AllocSnapshot::capture();
+        let report = run(&params, &mut Obs::new(&registry).traced(&recorder))?;
+        let alloc = snapshot.delta_under("tourism");
+        export_alloc_to_registry(&alloc, &registry);
+        let mut profile = Profile::from_events(&recorder.drain());
+        profile.attach_alloc(&alloc);
         std::fs::create_dir_all("results")?;
         let folded = "results/tourism_city.folded";
         std::fs::write(folded, profile.render_folded())?;
@@ -88,7 +93,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("profile: wrote {folded} and {speedscope}");
         report
     } else if xray_run {
-        let (report, xray) = run_xray(&params, &registry)?;
+        let recorder = FlightRecorder::new(1 << 16);
+        let report = run(&params, &mut Obs::new(&registry).traced(&recorder))?;
+        let xray = augur::xray::analyze("tourism", &recorder.drain(), recorder.dropped_events())
+            .with_registry(&registry.snapshot());
         std::fs::create_dir_all("results")?;
         let path = "results/tourism_city.xray.json";
         std::fs::write(path, xray.render_json())?;
@@ -103,7 +111,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         params.radius_m = 400.0;
         let recorder = FlightRecorder::new(1 << 16);
         let log = EventLog::new(1 << 14);
-        let report = run_logged(&params, &registry, &recorder, &log)?;
+        let report = run(
+            &params,
+            &mut Obs::new(&registry).traced(&recorder).logged(&log),
+        )?;
         let records = log.drain();
         std::fs::create_dir_all("results")?;
         let path = "results/tourism.log.jsonl";
@@ -116,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report
     } else if trace {
         let recorder = FlightRecorder::new(1 << 16);
-        let report = run_traced(&params, &registry, &recorder)?;
+        let report = run(&params, &mut Obs::new(&registry).traced(&recorder))?;
         let events = recorder.drain();
         std::fs::create_dir_all("results")?;
         let path = "results/tourism.trace.json";
@@ -128,7 +139,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         report
     } else {
-        run_instrumented(&params, &registry)?
+        run(&params, &mut Obs::new(&registry))?
     };
     println!("\nretrieval ({} queries):", report.queries);
     println!(
