@@ -10,10 +10,12 @@
 //!   [`TimeSource`](augur_telemetry::TimeSource), and automatic
 //!   `trace_id`/`span_id` correlation from the
 //!   [`TraceContext`](augur_telemetry::TraceContext) already flowing
-//!   through the pipeline. Records land in a bounded lock-free MPSC
-//!   ring (the `FlightRecorder` slot protocol — never blocks a hot
-//!   path) with exact drop accounting:
-//!   `drained + dropped == total_records` at quiescence.
+//!   through the pipeline. Records are encoded onto the telemetry
+//!   crate's bounded lock-free MPSC ring,
+//!   [`SeqRing`](augur_telemetry::ring::SeqRing) — the one the
+//!   `FlightRecorder` uses, so it never blocks a hot path — with exact
+//!   drop accounting: `drained + dropped == total_records` at
+//!   quiescence.
 //! - [`LogSite`]: per-call-site token buckets. A noisy WARN path
 //!   suppresses deterministically under
 //!   [`ManualTime`](augur_telemetry::ManualTime) and counts what it
@@ -54,7 +56,7 @@ pub mod chrome;
 pub mod export;
 /// Severity levels.
 pub mod level;
-/// The bounded lock-free log ring.
+/// The log record vocabulary and its encoding onto the seqlock ring.
 pub mod ring;
 /// Per-call-site token-bucket rate limiting.
 pub mod site;

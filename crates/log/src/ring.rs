@@ -1,26 +1,20 @@
-//! The bounded lock-free MPSC log ring.
+//! The log record vocabulary and its slot encoding.
 //!
-//! Same slot protocol as the telemetry
-//! [`FlightRecorder`](augur_telemetry::FlightRecorder) (see its module
-//! docs for the torn-read proof): a producer takes a ticket from one
-//! `fetch_add` on the write cursor, marks the slot `BUSY`, stores the
-//! payload cells with `Release`, and publishes the ticket — **no lock,
-//! no allocation, never blocks**. Overwritten or torn tickets are
-//! charged to [`EventLog::dropped_records`], so at quiescence
+//! [`EventLog`] is a thin encoder over the telemetry
+//! [`SeqRing`](augur_telemetry::ring::SeqRing) (see
+//! [`augur_telemetry::ring`] for the slot protocol and its torn-read
+//! proof): a record is `4 + 2·fields` words pushed with
+//! **no lock, no allocation, and no blocking**. Overwritten or torn
+//! tickets are charged to [`EventLog::dropped_records`], so at quiescence
 //! `drained + dropped == total_records` exactly.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-
+use augur_telemetry::ring::SeqRing;
 use augur_telemetry::TraceContext;
 
 use crate::level::Level;
 use crate::site::LogSite;
-
-/// Marks a slot whose payload is mid-write (or never written).
-const BUSY: u64 = 1 << 63;
 
 /// Fields beyond this many are truncated at emit time (the count that
 /// survives is encoded in the slot, so truncation is visible, not
@@ -105,59 +99,27 @@ const TAG_F64: u64 = 2;
 const TAG_BOOL: u64 = 3;
 const TAG_SYM: u64 = 4;
 
-fn encode(value: Value) -> (u64, u64) {
-    match value {
+/// A field's two slot words: `(tag << 32) | key_id`, then the value bits.
+fn encode(key: SymId, value: Value) -> [u64; 2] {
+    let (tag, bits) = match value {
         Value::U64(v) => (TAG_U64, v),
         Value::I64(v) => (TAG_I64, v as u64),
         Value::F64(v) => (TAG_F64, v.to_bits()),
         Value::Bool(v) => (TAG_BOOL, u64::from(v)),
         Value::Sym(s) => (TAG_SYM, u64::from(s.0)),
-    }
+    };
+    [(tag << 32) | u64::from(key.0), bits]
 }
 
-#[derive(Debug)]
-struct Slot {
-    seq: AtomicU64,
-    trace_id: AtomicU64,
-    span_id: AtomicU64,
-    /// `(msg_id << 16) | (n_fields << 8) | level`.
-    meta: AtomicU64,
-    ts_us: AtomicU64,
-    /// Per field: `(tag << 32) | key_id`, then the value bits.
-    fields: [(AtomicU64, AtomicU64); MAX_FIELDS],
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            seq: AtomicU64::new(BUSY | u64::MAX >> 1),
-            trace_id: AtomicU64::new(0),
-            span_id: AtomicU64::new(0),
-            meta: AtomicU64::new(0),
-            ts_us: AtomicU64::new(0),
-            fields: std::array::from_fn(|_| (AtomicU64::new(0), AtomicU64::new(0))),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct LogInner {
-    slots: Vec<Slot>,
-    mask: u64,
-    /// Next ticket to hand out; also the total records admitted.
-    write: AtomicU64,
-    /// Tickets below this have been consumed (drained or dropped).
-    read: Mutex<u64>,
-    dropped: AtomicU64,
-    /// Interned symbols; written only on the registration path.
-    syms: RwLock<Vec<String>>,
-    min_level: AtomicU8,
-}
+/// Words per log slot: `trace_id`, `span_id`, `meta`, `ts_us`, then two
+/// per field. `meta` is `(msg_id << 16) | (n_fields << 8) | level`.
+const WORDS: usize = 4 + 2 * MAX_FIELDS;
 
 /// The bounded lock-free structured log. Cloning shares the ring.
 #[derive(Debug, Clone)]
 pub struct EventLog {
-    inner: Arc<LogInner>,
+    ring: Arc<SeqRing<WORDS>>,
+    min_level: Level,
 }
 
 impl Default for EventLog {
@@ -175,62 +137,44 @@ impl EventLog {
 
     /// A log with an explicit severity floor.
     pub fn with_min_level(capacity: usize, min_level: Level) -> EventLog {
-        let cap = capacity.max(8).next_power_of_two();
         EventLog {
-            inner: Arc::new(LogInner {
-                slots: (0..cap).map(|_| Slot::empty()).collect(),
-                mask: cap as u64 - 1,
-                write: AtomicU64::new(0),
-                read: Mutex::new(0),
-                dropped: AtomicU64::new(0),
-                syms: RwLock::new(Vec::new()),
-                min_level: AtomicU8::new(min_level as u8),
-            }),
+            ring: Arc::new(SeqRing::new(capacity)),
+            min_level,
         }
     }
 
     /// Ring capacity in records.
     pub fn capacity(&self) -> usize {
-        self.inner.slots.len()
+        self.ring.capacity()
     }
 
-    /// The current severity floor.
+    /// The severity floor.
     pub fn min_level(&self) -> Level {
-        Level::from_u8(self.inner.min_level.load(Ordering::Relaxed))
-    }
-
-    /// Changes the severity floor (takes effect for subsequent emits).
-    pub fn set_min_level(&self, level: Level) {
-        self.inner.min_level.store(level as u8, Ordering::Relaxed);
+        self.min_level
     }
 
     /// Whether a record at `level` would pass the floor.
     pub fn enabled(&self, level: Level) -> bool {
-        level >= self.min_level()
+        level >= self.min_level
     }
 
     /// Interns a symbol, returning the id hot paths pass to
     /// [`EventLog::record`]. Takes a short lock — call at setup.
     pub fn intern(&self, s: &str) -> SymId {
-        let mut syms = self.inner.syms.write();
-        if let Some(pos) = syms.iter().position(|n| n == s) {
-            return SymId(pos as u32);
-        }
-        syms.push(s.to_string());
-        SymId((syms.len() - 1) as u32)
+        SymId(self.ring.intern(s))
     }
 
     /// Records admitted so far (drained, pending, or dropped). Level- or
     /// rate-suppressed emits never reach this count; suppression is
     /// visible per site via [`LogSite::suppressed`].
     pub fn total_records(&self) -> u64 {
-        self.inner.write.load(Ordering::Relaxed)
+        self.ring.total()
     }
 
     /// Records overwritten before a drain could read them (plus torn
     /// slots rejected mid-drain). Monotonic; updated at drain time.
     pub fn dropped_records(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// Emits a record with pre-interned message and keys. Lock-free and
@@ -250,27 +194,19 @@ impl EventLog {
         if !ctx.sampled || !self.enabled(level) || !site.admit(ts_us) {
             return;
         }
-        let inner = &*self.inner;
-        let ticket = inner.write.fetch_add(1, Ordering::Relaxed);
-        let Some(slot) = inner.slots.get((ticket & inner.mask) as usize) else {
-            return; // unreachable: mask < slots.len()
-        };
         let n = fields.len().min(MAX_FIELDS);
-        slot.seq.store(ticket | BUSY, Ordering::Relaxed);
-        slot.trace_id.store(ctx.trace_id, Ordering::Release);
-        slot.span_id.store(ctx.span_id, Ordering::Release);
-        slot.meta.store(
+        let mut words = [0u64; WORDS];
+        let (head, cells) = words.split_at_mut(4);
+        head.copy_from_slice(&[
+            ctx.trace_id,
+            ctx.span_id,
             (u64::from(msg.0) << 16) | ((n as u64) << 8) | level as u64,
-            Ordering::Release,
-        );
-        slot.ts_us.store(ts_us, Ordering::Release);
-        for (cell, field) in slot.fields.iter().zip(fields.iter().take(MAX_FIELDS)) {
-            let (tag, bits) = encode(field.1);
-            cell.0
-                .store((tag << 32) | u64::from(field.0 .0), Ordering::Release);
-            cell.1.store(bits, Ordering::Release);
+            ts_us,
+        ]);
+        for (cell, &(key, value)) in cells.chunks_exact_mut(2).zip(fields) {
+            cell.copy_from_slice(&encode(key, value));
         }
-        slot.seq.store(ticket, Ordering::Release);
+        self.ring.push(words.get(..4 + 2 * n).unwrap_or(&words));
     }
 
     /// Convenience emit that interns the message, keys, and string
@@ -313,74 +249,38 @@ impl EventLog {
     /// [`EventLog::dropped_records`]. At quiescence
     /// `drained_total + dropped_records == total_records` exactly.
     pub fn drain(&self) -> Vec<LogRecord> {
-        let inner = &*self.inner;
-        let mut read = inner.read.lock();
-        let w = inner.write.load(Ordering::Acquire);
-        let cap = inner.slots.len() as u64;
-        let mut r = *read;
-        if w.saturating_sub(r) > cap {
-            // The ring lapped the reader: everything below w - cap is gone.
-            inner.dropped.fetch_add(w - cap - r, Ordering::Relaxed);
-            r = w - cap;
-        }
-        let syms = inner.syms.read();
-        let resolve = |id: u64| -> String {
-            syms.get(id as usize)
-                .cloned()
-                .unwrap_or_else(|| String::from("?"))
-        };
-        let mut out = Vec::with_capacity((w - r) as usize);
-        for ticket in r..w {
-            let Some(slot) = inner.slots.get((ticket & inner.mask) as usize) else {
-                continue; // unreachable: mask < slots.len()
-            };
-            if slot.seq.load(Ordering::Acquire) != ticket {
-                inner.dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let trace_id = slot.trace_id.load(Ordering::Acquire);
-            let span_id = slot.span_id.load(Ordering::Acquire);
-            let meta = slot.meta.load(Ordering::Acquire);
-            let ts_us = slot.ts_us.load(Ordering::Acquire);
-            let mut raw_fields = [(0u64, 0u64); MAX_FIELDS];
-            for (dst, cell) in raw_fields.iter_mut().zip(slot.fields.iter()) {
-                *dst = (
-                    cell.0.load(Ordering::Acquire),
-                    cell.1.load(Ordering::Acquire),
-                );
-            }
-            if slot.seq.load(Ordering::Acquire) != ticket {
-                // A writer raced us mid-read; its BUSY marker (made
-                // visible by the Acquire payload loads) fails this check.
-                inner.dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let n = ((meta >> 8) & 0xff) as usize;
-            let fields = raw_fields
-                .iter()
-                .take(n.min(MAX_FIELDS))
-                .map(|&(key_tag, bits)| {
-                    let value = match key_tag >> 32 {
-                        TAG_U64 => FieldValue::U64(bits),
-                        TAG_I64 => FieldValue::I64(bits as i64),
-                        TAG_F64 => FieldValue::F64(f64::from_bits(bits)),
-                        TAG_BOOL => FieldValue::Bool(bits != 0),
-                        _ => FieldValue::Str(resolve(bits)),
-                    };
-                    (resolve(key_tag & 0xffff_ffff), value)
-                })
-                .collect();
-            out.push(LogRecord {
-                ts_us,
-                level: Level::from_u8((meta & 0xff) as u8),
-                msg: resolve(meta >> 16),
-                trace_id,
-                span_id,
-                fields,
-            });
-        }
-        *read = w;
-        out
+        self.ring
+            .drain(|&[trace_id, span_id, meta, ts_us, ref cells @ ..], syms| {
+                let resolve = |id: u64| -> String {
+                    syms.get(id as usize)
+                        .cloned()
+                        .unwrap_or_else(|| String::from("?"))
+                };
+                let n = ((meta >> 8) & 0xff) as usize;
+                let key_tags = cells.iter().step_by(2);
+                let fields = key_tags
+                    .zip(cells.iter().skip(1).step_by(2))
+                    .take(n)
+                    .map(|(&key_tag, &bits)| {
+                        let value = match key_tag >> 32 {
+                            TAG_U64 => FieldValue::U64(bits),
+                            TAG_I64 => FieldValue::I64(bits as i64),
+                            TAG_F64 => FieldValue::F64(f64::from_bits(bits)),
+                            TAG_BOOL => FieldValue::Bool(bits != 0),
+                            _ => FieldValue::Str(resolve(bits)),
+                        };
+                        (resolve(key_tag & 0xffff_ffff), value)
+                    })
+                    .collect();
+                LogRecord {
+                    ts_us,
+                    level: Level::from_u8((meta & 0xff) as u8),
+                    msg: resolve(meta >> 16),
+                    trace_id,
+                    span_id,
+                    fields,
+                }
+            })
     }
 }
 
@@ -438,9 +338,9 @@ mod tests {
         log.event(&site, Level::Debug, ctx, "chatty", 0, &[]);
         log.event(&site, Level::Info, ctx.unsampled(), "unsampled", 0, &[]);
         assert_eq!(log.total_records(), 0);
-        log.set_min_level(Level::Debug);
-        log.event(&site, Level::Debug, ctx, "chatty", 0, &[]);
-        assert_eq!(log.total_records(), 1);
+        let debug = EventLog::with_min_level(16, Level::Debug);
+        debug.event(&site, Level::Debug, ctx, "chatty", 0, &[]);
+        assert_eq!(debug.total_records(), 1);
     }
 
     #[test]

@@ -63,6 +63,8 @@ pub mod lane;
 pub mod metric;
 /// Sharded registry of labeled metric families.
 pub mod registry;
+/// The seqlock ring under the flight recorder and the event log.
+pub mod ring;
 /// Span tracing recorded as duration histograms.
 pub mod span;
 /// Pluggable time sources (`ManualTime`, `MonotonicTime`).
@@ -80,7 +82,7 @@ pub use export::{
     OPENMETRICS_CONTENT_TYPE,
 };
 /// The flight recorder and its drained event type.
-pub use flight::{FlightEvent, FlightEventKind, FlightRecorder, NameId, TraceSpan};
+pub use flight::{FlightEvent, FlightEventKind, FlightRecorder, NameId};
 /// Worker-lane identity, contention accounting, and merged drains.
 pub use lane::{
     merge_drained, BlockedSite, Lane, LaneBlock, LaneId, LaneSummary, LaneWork, Lanes, MergedDrain,

@@ -3,8 +3,8 @@
 //! ticket exactly — `drained + dropped_events == total_events` — with no
 //! torn reads surfacing as garbage events. The seqlock-style slot
 //! protocol this exercises only shows races under optimized builds, so
-//! CI runs the test suite with `--release` semantics in mind; the
-//! invariants hold at any opt level.
+//! CI also runs this crate's tests with `--release`; the invariants hold
+//! at any opt level.
 
 use std::collections::HashSet;
 use std::sync::Arc;
