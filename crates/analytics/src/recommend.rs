@@ -40,96 +40,163 @@ pub trait Recommender {
 }
 
 /// Item-item cosine-similarity collaborative filtering.
+///
+/// Training builds the similarity lists in id-keyed maps, then stores
+/// them densely: an item with at least one similarity edge is known by
+/// its index into the ascending `ids`, so [`Recommender::recommend`]
+/// scores into a flat per-item array instead of a map.
 #[derive(Debug, Clone)]
 pub struct ItemItemRecommender {
-    user_items: BTreeMap<u64, BTreeMap<u64, f64>>,
-    // For each item, its top-similar items with scores.
-    similar: BTreeMap<u64, Vec<(u64, f64)>>,
+    /// Ids of the items with at least one similarity edge, ascending.
+    ids: Vec<u64>,
+    /// Per item index: its top-similar items as (item index, similarity),
+    /// best first.
+    neighbors: Vec<Vec<(usize, f64)>>,
+    /// User ids, ascending.
+    users: Vec<u64>,
+    /// Per user: the user's items that have an edge, as (item index,
+    /// summed weight) in item-id order.
+    owned: Vec<Vec<(usize, f64)>>,
+}
+
+/// A user's summed weight per item, and each item's top-`neighbors`
+/// similar items with scores (best first, ties by id).
+type Similarities = (
+    BTreeMap<u64, BTreeMap<u64, f64>>,
+    BTreeMap<u64, Vec<(u64, f64)>>,
+);
+
+/// Sums the log's weights per (user, item) and keeps each item's
+/// `neighbors` most cosine-similar items.
+fn similarities(log: &[Interaction], neighbors: usize) -> Similarities {
+    let mut user_items: BTreeMap<u64, BTreeMap<u64, f64>> = BTreeMap::new();
+    let mut item_users: BTreeMap<u64, BTreeMap<u64, f64>> = BTreeMap::new();
+    for i in log {
+        *user_items
+            .entry(i.user)
+            .or_default()
+            .entry(i.item)
+            .or_insert(0.0) += i.weight;
+        *item_users
+            .entry(i.item)
+            .or_default()
+            .entry(i.user)
+            .or_insert(0.0) += i.weight;
+    }
+    // Cosine similarity between item vectors (over users).
+    let norms: BTreeMap<u64, f64> = item_users
+        .iter()
+        .map(|(it, users)| (*it, users.values().map(|w| w * w).sum::<f64>().sqrt()))
+        .collect();
+    let mut similar: BTreeMap<u64, Vec<(u64, f64)>> = BTreeMap::new();
+    // Accumulate dot products via co-occurrence through users — this
+    // is O(Σ per-user items²), fine at simulation scale.
+    let mut dots: BTreeMap<(u64, u64), f64> = BTreeMap::new();
+    for items in user_items.values() {
+        let entries: Vec<(&u64, &f64)> = items.iter().collect();
+        for (ai, (a, wa)) in entries.iter().enumerate() {
+            for (b, wb) in entries.iter().skip(ai + 1) {
+                let key = if a < b { (**a, **b) } else { (**b, **a) };
+                *dots.entry(key).or_insert(0.0) += **wa * **wb;
+            }
+        }
+    }
+    for ((a, b), dot) in dots {
+        let sim = dot / (norms[&a] * norms[&b]).max(f64::EPSILON);
+        similar.entry(a).or_default().push((b, sim));
+        similar.entry(b).or_default().push((a, sim));
+    }
+    for list in similar.values_mut() {
+        list.sort_by(|x, y| by_score_then_id(*x, *y));
+        list.truncate(neighbors);
+    }
+    (user_items, similar)
+}
+
+/// Best score first, ties (and incomparable scores) by ascending id.
+fn by_score_then_id(a: (u64, f64), b: (u64, f64)) -> std::cmp::Ordering {
+    b.1.partial_cmp(&a.1)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(a.0.cmp(&b.0))
+}
+
+/// Scoring state of one item during [`ItemItemRecommender::recommend`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mark {
+    Unscored,
+    Owned,
+    Scored,
 }
 
 impl ItemItemRecommender {
     /// Trains on a log, keeping the `neighbors` most similar items per
     /// item.
     pub fn train(log: &[Interaction], neighbors: usize) -> Self {
-        let mut user_items: BTreeMap<u64, BTreeMap<u64, f64>> = BTreeMap::new();
-        let mut item_users: BTreeMap<u64, BTreeMap<u64, f64>> = BTreeMap::new();
-        for i in log {
-            *user_items
-                .entry(i.user)
-                .or_default()
-                .entry(i.item)
-                .or_insert(0.0) += i.weight;
-            *item_users
-                .entry(i.item)
-                .or_default()
-                .entry(i.user)
-                .or_insert(0.0) += i.weight;
-        }
-        // Cosine similarity between item vectors (over users).
-        let norms: BTreeMap<u64, f64> = item_users
-            .iter()
-            .map(|(it, users)| (*it, users.values().map(|w| w * w).sum::<f64>().sqrt()))
+        let (user_items, similar) = similarities(log, neighbors);
+        let ids: Vec<u64> = similar.keys().copied().collect();
+        let index = |item: &u64| ids.binary_search(item).ok();
+        let neighbors = similar
+            .values()
+            .map(|list| {
+                list.iter()
+                    .filter_map(|(other, sim)| Some((index(other)?, *sim)))
+                    .collect()
+            })
             .collect();
-        let mut similar: BTreeMap<u64, Vec<(u64, f64)>> = BTreeMap::new();
-        // Accumulate dot products via co-occurrence through users — this
-        // is O(Σ per-user items²), fine at simulation scale.
-        let mut dots: BTreeMap<(u64, u64), f64> = BTreeMap::new();
-        for items in user_items.values() {
-            let entries: Vec<(&u64, &f64)> = items.iter().collect();
-            for (ai, (a, wa)) in entries.iter().enumerate() {
-                for (b, wb) in entries.iter().skip(ai + 1) {
-                    let key = if a < b { (**a, **b) } else { (**b, **a) };
-                    *dots.entry(key).or_insert(0.0) += **wa * **wb;
-                }
-            }
-        }
-        for ((a, b), dot) in dots {
-            let sim = dot / (norms[&a] * norms[&b]).max(f64::EPSILON);
-            similar.entry(a).or_default().push((b, sim));
-            similar.entry(b).or_default().push((a, sim));
-        }
-        for list in similar.values_mut() {
-            list.sort_by(|x, y| {
-                y.1.partial_cmp(&x.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(x.0.cmp(&y.0))
-            });
-            list.truncate(neighbors);
-        }
+        // An item without an edge neither scores nor gets scored, so the
+        // per-user lists leave it out.
+        let owned = user_items
+            .values()
+            .map(|items| {
+                items
+                    .iter()
+                    .filter_map(|(item, weight)| Some((index(item)?, *weight)))
+                    .collect()
+            })
+            .collect();
         ItemItemRecommender {
-            user_items,
-            similar,
+            users: user_items.into_keys().collect(),
+            owned,
+            neighbors,
+            ids,
         }
     }
 
     /// Number of items with at least one similarity edge.
     pub fn item_count(&self) -> usize {
-        self.similar.len()
+        self.ids.len()
     }
 }
 
 impl Recommender for ItemItemRecommender {
     fn recommend(&self, user: u64, k: usize) -> Vec<u64> {
-        let owned = match self.user_items.get(&user) {
-            Some(m) => m,
-            None => return Vec::new(),
+        let Ok(u) = self.users.binary_search(&user) else {
+            return Vec::new();
         };
-        let mut scores: BTreeMap<u64, f64> = BTreeMap::new();
-        for (item, weight) in owned {
-            if let Some(neigh) = self.similar.get(item) {
-                for (other, sim) in neigh {
-                    if !owned.contains_key(other) {
-                        *scores.entry(*other).or_insert(0.0) += sim * weight;
-                    }
+        let owned = &self.owned[u];
+        let mut marks = vec![Mark::Unscored; self.ids.len()];
+        let mut scores = vec![0.0; self.ids.len()];
+        for &(item, _) in owned {
+            marks[item] = Mark::Owned;
+        }
+        for &(item, weight) in owned {
+            for &(other, sim) in &self.neighbors[item] {
+                if marks[other] != Mark::Owned {
+                    marks[other] = Mark::Scored;
+                    scores[other] += sim * weight;
                 }
             }
         }
-        let mut ranked: Vec<(u64, f64)> = scores.into_iter().collect();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
+        // Collected in item-id order: with incomparable (NaN) scores, the
+        // stable sort's result depends on its input order.
+        let mut ranked: Vec<(u64, f64)> = marks
+            .iter()
+            .zip(&self.ids)
+            .zip(&scores)
+            .filter(|((mark, _), _)| **mark == Mark::Scored)
+            .map(|((_, id), score)| (*id, *score))
+            .collect();
+        ranked.sort_by(|a, b| by_score_then_id(*a, *b));
         ranked.into_iter().take(k).map(|(i, _)| i).collect()
     }
 
@@ -155,11 +222,7 @@ impl PopularityRecommender {
             user_items.entry(i.user).or_default().insert(i.item);
         }
         let mut ranked: Vec<(u64, f64)> = counts.into_iter().collect();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
+        ranked.sort_by(|a, b| by_score_then_id(*a, *b));
         PopularityRecommender {
             ranked: ranked.into_iter().map(|(i, _)| i).collect(),
             user_items,
@@ -358,6 +421,90 @@ mod tests {
             e_pop.hit_rate,
             e_rnd.hit_rate
         );
+    }
+
+    /// The map-based item-item recommender the dense one replaced, kept
+    /// as an oracle.
+    struct MapRecommender {
+        user_items: BTreeMap<u64, BTreeMap<u64, f64>>,
+        similar: BTreeMap<u64, Vec<(u64, f64)>>,
+    }
+
+    impl MapRecommender {
+        fn train(log: &[Interaction], neighbors: usize) -> Self {
+            let (user_items, similar) = similarities(log, neighbors);
+            MapRecommender {
+                user_items,
+                similar,
+            }
+        }
+
+        fn recommend(&self, user: u64, k: usize) -> Vec<u64> {
+            let owned = match self.user_items.get(&user) {
+                Some(m) => m,
+                None => return Vec::new(),
+            };
+            let mut scores: BTreeMap<u64, f64> = BTreeMap::new();
+            for (item, weight) in owned {
+                if let Some(neigh) = self.similar.get(item) {
+                    for (other, sim) in neigh {
+                        if !owned.contains_key(other) {
+                            *scores.entry(*other).or_insert(0.0) += sim * weight;
+                        }
+                    }
+                }
+            }
+            let mut ranked: Vec<(u64, f64)> = scores.into_iter().collect();
+            ranked.sort_by(|a, b| {
+                b.1.partial_cmp(&a.1)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.0.cmp(&b.0))
+            });
+            ranked.into_iter().take(k).map(|(i, _)| i).collect()
+        }
+    }
+
+    /// A log with repeated (user, item) pairs, fractional weights and
+    /// items no other user touches.
+    fn weighted_log(seed: u64) -> Vec<Interaction> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut log: Vec<Interaction> = (0..600)
+            .map(|_| Interaction {
+                user: rng.gen_range(0..60),
+                item: rng.gen_range(0..40u64) * 7,
+                weight: rng.gen_range(0.05..3.0),
+            })
+            .collect();
+        log.extend((0..5).map(|u| Interaction {
+            user: 1_000 + u,
+            item: 10_000 + u,
+            weight: 0.5,
+        }));
+        log
+    }
+
+    #[test]
+    fn dense_recommend_matches_map_oracle() {
+        for log in [affinity_log(150, 25, 4, 13), weighted_log(14)] {
+            let mut users: Vec<u64> = log.iter().map(|i| i.user).collect();
+            users.sort_unstable();
+            users.dedup();
+            users.push(u64::MAX);
+            for neighbors in [0, 5, 20, 80] {
+                let dense = ItemItemRecommender::train(&log, neighbors);
+                let oracle = MapRecommender::train(&log, neighbors);
+                assert_eq!(dense.item_count(), oracle.similar.len());
+                for &user in &users {
+                    for k in [1, 10, usize::MAX] {
+                        assert_eq!(
+                            dense.recommend(user, k),
+                            oracle.recommend(user, k),
+                            "user {user}, k {k}, {neighbors} neighbors"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

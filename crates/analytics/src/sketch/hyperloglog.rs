@@ -66,11 +66,7 @@ impl HyperLogLog {
             64 => 0.709,
             n => 0.7213 / (1.0 + 1.079 / n as f64),
         };
-        let sum: f64 = self
-            .registers
-            .iter()
-            .map(|&r| 2.0f64.powi(-(r as i32)))
-            .sum();
+        let sum: f64 = self.registers.iter().map(|&r| inv_pow2(r)).sum();
         let raw = alpha * m * m / sum;
         // Small-range correction: linear counting when registers are
         // mostly empty.
@@ -103,9 +99,26 @@ impl HyperLogLog {
     }
 }
 
+/// `2^-r`, built directly from the exponent bits: exact for every `u8`
+/// rank, and far cheaper than `powi` in the per-register loop.
+fn inv_pow2(r: u8) -> f64 {
+    f64::from_bits((1023 - u64::from(r)) << 52)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn inv_pow2_equals_powi_for_every_rank() {
+        for r in 0..=u8::MAX {
+            assert_eq!(
+                inv_pow2(r).to_bits(),
+                2.0f64.powi(-i32::from(r)).to_bits(),
+                "rank {r}"
+            );
+        }
+    }
 
     #[test]
     fn estimates_within_expected_error() {

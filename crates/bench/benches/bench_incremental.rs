@@ -42,6 +42,45 @@ fn bench_columnar(c: &mut Criterion) {
     c.bench_function("e2_rowwise_sum_100k", |b| {
         b.iter(|| std::hint::black_box(table.sum_rowwise("qty", &preds).expect("valid query")))
     });
+
+    // The analyst-query shape: three independent range predicates that
+    // each keep about 79% of the rows, about 50% together.
+    let schema = Schema::new(vec![
+        ("value", ColumnType::F64),
+        ("score", ColumnType::F64),
+        ("ts", ColumnType::I64),
+    ]);
+    let mut table = ColumnTable::new(schema);
+    for ts in 0..100_000i64 {
+        table
+            .append(vec![
+                Value::F64(rng.gen_range(0.0..1_000.0)),
+                Value::F64(rng.gen_range(0.0..1.0)),
+                Value::I64(ts),
+            ])
+            .expect("schema matches");
+    }
+    let keep = 0.5f64.cbrt();
+    let preds = [
+        Predicate::NumBetween {
+            column: "value".into(),
+            lo: 100.0,
+            hi: 100.0 + 1_000.0 * keep,
+        },
+        Predicate::NumBetween {
+            column: "score".into(),
+            lo: 0.1,
+            hi: 0.1 + keep,
+        },
+        Predicate::NumBetween {
+            column: "ts".into(),
+            lo: 10_000.0,
+            hi: 10_000.0 + 100_000.0 * keep,
+        },
+    ];
+    c.bench_function("e2_columnar_pushdown_mean_100k_3pred", |b| {
+        b.iter(|| std::hint::black_box(table.mean("value", &preds).expect("valid query")))
+    });
 }
 
 fn bench(c: &mut Criterion) {

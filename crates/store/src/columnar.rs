@@ -5,6 +5,15 @@
 //! row materialisation. Strings are dictionary-encoded. The table also
 //! exposes a deliberately naive row-at-a-time scan so benchmarks can
 //! show the gap.
+//!
+//! Predicates evaluate to a *selection bitmap*: one `u64` per 64 rows,
+//! bit `r % 64` of word `r / 64` standing for row `r`. A selection
+//! starts all-ones (the last word masked to the rows that exist) and
+//! each predicate ANDs in a mask built word by word from its column
+//! alone. [`ColumnTable::sum`], [`ColumnTable::mean`] and
+//! [`ColumnTable::select`] then walk the set bits in ascending row
+//! order, so a sum adds the same values in the same order as
+//! [`ColumnTable::sum_rowwise`] and is bit-identical to it.
 
 use std::collections::HashMap;
 
@@ -119,6 +128,14 @@ pub enum Predicate {
     },
 }
 
+impl Predicate {
+    fn column(&self) -> &str {
+        match self {
+            Predicate::NumBetween { column, .. } | Predicate::StrEq { column, .. } => column,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Column {
     F64(Vec<f64>),
@@ -155,10 +172,15 @@ impl Column {
                 },
                 Value::Str(s),
             ) => {
-                let code = *lookup.entry(s.clone()).or_insert_with(|| {
-                    dict.push(s);
-                    (dict.len() - 1) as u32
-                });
+                let code = match lookup.get(s.as_str()) {
+                    Some(&code) => code,
+                    None => {
+                        let code = dict.len() as u32;
+                        lookup.insert(s.clone(), code);
+                        dict.push(s);
+                        code
+                    }
+                };
                 codes.push(code);
             }
             (col, v) => {
@@ -183,12 +205,34 @@ impl Column {
             Column::Str { dict, codes, .. } => Value::Str(dict[codes[row] as usize].clone()),
         }
     }
+}
 
-    fn numeric_at(&self, row: usize) -> Option<f64> {
-        match self {
-            Column::F64(v) => Some(v[row]),
-            Column::I64(v) => Some(v[row] as f64),
-            Column::Str { .. } => None,
+/// A numeric column's values, resolved before a scan.
+enum Numeric<'a> {
+    F64(&'a [f64]),
+    I64(&'a [i64]),
+}
+
+/// ANDs into the selection `sel` a mask of the rows of `values` for
+/// which `keep` holds, built one 64-row word at a time.
+fn and_mask<T: Copy>(sel: &mut [u64], values: &[T], keep: impl Fn(T) -> bool) {
+    for (word, chunk) in sel.iter_mut().zip(values.chunks(64)) {
+        let mut mask = 0;
+        for (bit, &v) in chunk.iter().enumerate() {
+            mask |= u64::from(keep(v)) << bit;
+        }
+        *word &= mask;
+    }
+}
+
+/// Calls `f` with each row set in the selection `sel`, in ascending
+/// row order.
+fn for_each_row(sel: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in sel.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
         }
     }
 }
@@ -280,68 +324,81 @@ impl ColumnTable {
         Ok(())
     }
 
-    fn matching_rows(&self, predicates: &[Predicate]) -> Result<Vec<usize>, StoreError> {
-        let mut selected: Option<Vec<usize>> = None;
-        for p in predicates {
-            let rows = self.eval_predicate(p)?;
-            selected = Some(match selected {
-                None => rows,
-                Some(prev) => {
-                    // Intersect two sorted lists.
-                    let set: std::collections::HashSet<usize> = rows.into_iter().collect();
-                    prev.into_iter().filter(|r| set.contains(r)).collect()
-                }
-            });
-        }
-        Ok(selected.unwrap_or_else(|| (0..self.rows).collect()))
+    /// The column named `column`.
+    fn column(&self, column: &str) -> Result<&Column, StoreError> {
+        let idx = self
+            .schema
+            .index_of(column)
+            .ok_or_else(|| StoreError::UnknownColumn(column.to_string()))?;
+        Ok(&self.columns[idx])
     }
 
-    fn eval_predicate(&self, p: &Predicate) -> Result<Vec<usize>, StoreError> {
-        match p {
-            Predicate::NumBetween { column, lo, hi } => {
-                let idx = self
-                    .schema
-                    .index_of(column)
-                    .ok_or_else(|| StoreError::UnknownColumn(column.clone()))?;
-                match &self.columns[idx] {
-                    Column::F64(v) => Ok(v
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, x)| **x >= *lo && **x <= *hi)
-                        .map(|(i, _)| i)
-                        .collect()),
-                    Column::I64(v) => Ok(v
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, x)| (**x as f64) >= *lo && (**x as f64) <= *hi)
-                        .map(|(i, _)| i)
-                        .collect()),
-                    Column::Str { .. } => Err(StoreError::SchemaMismatch(format!(
-                        "numeric predicate on string column {column:?}"
-                    ))),
+    /// The selection bitmap of rows matching every predicate.
+    fn selection(&self, predicates: &[Predicate]) -> Result<Vec<u64>, StoreError> {
+        let words = self.rows.div_ceil(64);
+        let mut sel = vec![u64::MAX; words];
+        // The last word keeps only the rows that exist.
+        if let Some(last) = sel.last_mut() {
+            *last >>= words * 64 - self.rows;
+        }
+        for p in predicates {
+            match (p, self.column(p.column())?) {
+                (Predicate::NumBetween { lo, hi, .. }, Column::F64(v)) => {
+                    and_mask(&mut sel, v, |x| x >= *lo && x <= *hi);
                 }
-            }
-            Predicate::StrEq { column, value } => {
-                let idx = self
-                    .schema
-                    .index_of(column)
-                    .ok_or_else(|| StoreError::UnknownColumn(column.clone()))?;
-                match &self.columns[idx] {
-                    Column::Str { lookup, codes, .. } => match lookup.get(value) {
-                        None => Ok(Vec::new()),
-                        Some(code) => Ok(codes
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, c)| *c == code)
-                            .map(|(i, _)| i)
-                            .collect()),
-                    },
-                    _ => Err(StoreError::SchemaMismatch(format!(
+                (Predicate::NumBetween { lo, hi, .. }, Column::I64(v)) => {
+                    and_mask(&mut sel, v, |x| (x as f64) >= *lo && (x as f64) <= *hi);
+                }
+                (Predicate::StrEq { value, .. }, Column::Str { lookup, codes, .. }) => {
+                    match lookup.get(value) {
+                        Some(&code) => and_mask(&mut sel, codes, |c| c == code),
+                        None => sel.fill(0),
+                    }
+                }
+                (Predicate::NumBetween { column, .. }, Column::Str { .. }) => {
+                    return Err(StoreError::SchemaMismatch(format!(
+                        "numeric predicate on string column {column:?}"
+                    )))
+                }
+                (Predicate::StrEq { column, .. }, _) => {
+                    return Err(StoreError::SchemaMismatch(format!(
                         "string predicate on non-string column {column:?}"
-                    ))),
+                    )))
                 }
             }
         }
+        Ok(sel)
+    }
+
+    /// Sum and count of a numeric column over rows matching the
+    /// predicates, adding in ascending row order.
+    fn sum_count(
+        &self,
+        column: &str,
+        predicates: &[Predicate],
+    ) -> Result<(f64, usize), StoreError> {
+        let values = match self.column(column)? {
+            Column::F64(v) => Numeric::F64(v),
+            Column::I64(v) => Numeric::I64(v),
+            Column::Str { .. } => {
+                return Err(StoreError::SchemaMismatch(format!(
+                    "sum over non-numeric column {column:?}"
+                )))
+            }
+        };
+        let sel = self.selection(predicates)?;
+        let (mut total, mut count) = (0.0, 0);
+        match values {
+            Numeric::F64(v) => for_each_row(&sel, |r| {
+                total += v[r];
+                count += 1;
+            }),
+            Numeric::I64(v) => for_each_row(&sel, |r| {
+                total += v[r] as f64;
+                count += 1;
+            }),
+        }
+        Ok((total, count))
     }
 
     /// Rows (fully materialised) matching all predicates.
@@ -350,11 +407,11 @@ impl ColumnTable {
     ///
     /// [`StoreError::UnknownColumn`] / [`StoreError::SchemaMismatch`].
     pub fn select(&self, predicates: &[Predicate]) -> Result<Vec<Vec<Value>>, StoreError> {
-        Ok(self
-            .matching_rows(predicates)?
-            .into_iter()
-            .map(|r| self.columns.iter().map(|c| c.value_at(r)).collect())
-            .collect())
+        let mut out = Vec::new();
+        for_each_row(&self.selection(predicates)?, |r| {
+            out.push(self.columns.iter().map(|c| c.value_at(r)).collect());
+        });
+        Ok(out)
     }
 
     /// Sum of a numeric column over rows matching the predicates,
@@ -362,21 +419,10 @@ impl ColumnTable {
     ///
     /// # Errors
     ///
-    /// [`StoreError::UnknownColumn`] / [`StoreError::SchemaMismatch`].
+    /// [`StoreError::UnknownColumn`] / [`StoreError::SchemaMismatch`],
+    /// including for a string `column` when no row matches.
     pub fn sum(&self, column: &str, predicates: &[Predicate]) -> Result<f64, StoreError> {
-        let idx = self
-            .schema
-            .index_of(column)
-            .ok_or_else(|| StoreError::UnknownColumn(column.to_string()))?;
-        let rows = self.matching_rows(predicates)?;
-        let col = &self.columns[idx];
-        let mut total = 0.0;
-        for r in rows {
-            total += col.numeric_at(r).ok_or_else(|| {
-                StoreError::SchemaMismatch(format!("sum over non-numeric column {column:?}"))
-            })?;
-        }
-        Ok(total)
+        Ok(self.sum_count(column, predicates)?.0)
     }
 
     /// Mean of a numeric column over matching rows (`None` if no rows).
@@ -385,12 +431,8 @@ impl ColumnTable {
     ///
     /// Same conditions as [`ColumnTable::sum`].
     pub fn mean(&self, column: &str, predicates: &[Predicate]) -> Result<Option<f64>, StoreError> {
-        let rows = self.matching_rows(predicates)?;
-        if rows.is_empty() {
-            return Ok(None);
-        }
-        let n = rows.len() as f64;
-        Ok(Some(self.sum(column, predicates)? / n))
+        let (total, count) = self.sum_count(column, predicates)?;
+        Ok((count > 0).then(|| total / count as f64))
     }
 
     /// Row-at-a-time full-materialisation scan computing the same sum —
@@ -535,6 +577,37 @@ mod tests {
             value: "nonexistent".into(),
         }];
         assert_eq!(t.mean("price", &preds).unwrap(), None);
+    }
+
+    #[test]
+    fn mean_of_unknown_column_errors_when_nothing_matches() {
+        let t = table();
+        let preds = [Predicate::StrEq {
+            column: "cat".into(),
+            value: "nonexistent".into(),
+        }];
+        assert!(matches!(
+            t.mean("nope", &preds),
+            Err(StoreError::UnknownColumn(_))
+        ));
+    }
+
+    #[test]
+    fn string_aggregates_error_when_nothing_matches() {
+        let t = table();
+        let preds = [Predicate::NumBetween {
+            column: "price".into(),
+            lo: 1e9,
+            hi: 2e9,
+        }];
+        assert!(matches!(
+            t.sum("cat", &preds),
+            Err(StoreError::SchemaMismatch(_))
+        ));
+        assert!(matches!(
+            t.mean("cat", &preds),
+            Err(StoreError::SchemaMismatch(_))
+        ));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests for the storage substrate: the LSM store is
 //! checked against a model (HashMap), the time-series store against
-//! direct slicing, and the columnar table against row-wise evaluation.
+//! direct slicing, and the columnar table against row-wise evaluation
+//! (sums bit for bit, since the selection bitmap keeps row order).
 
 use augur_store::{
     ColumnTable, ColumnType, Downsample, LsmParams, LsmStore, Predicate, Schema, TimeSeriesStore,
@@ -131,5 +132,94 @@ proptest! {
             .filter(|(p, _, c)| *p >= lo && *p <= hi && cats[*c] == "b")
             .count();
         prop_assert_eq!(selected.len(), manual);
+    }
+
+    #[test]
+    fn columnar_aggregates_equal_row_order_reference(
+        pool in prop::collection::vec(cell_strategy(), 200..201),
+        n in 0usize..=200,
+        preds in prop::collection::vec(predicate_strategy(), 0..4),
+    ) {
+        // Word-boundary sizes run in every case, next to the random one.
+        for rows in [n, 63, 64, 65, 128, 129] {
+            let rows = &pool[..rows];
+            let schema = Schema::new(vec![
+                ("f", ColumnType::F64),
+                ("i", ColumnType::I64),
+                ("s", ColumnType::Str),
+            ]);
+            let mut t = ColumnTable::new(schema);
+            for (f, i, s) in rows {
+                t.append(vec![Value::F64(*f), Value::I64(*i), Value::Str((*s).into())]).unwrap();
+            }
+            let keep: Vec<bool> = rows.iter().map(|row| preds.iter().all(|p| row_matches(row, p))).collect();
+            let want_rows: Vec<Vec<Value>> = rows
+                .iter()
+                .zip(&keep)
+                .filter(|(_, k)| **k)
+                .map(|((f, i, s), _)| vec![Value::F64(*f), Value::I64(*i), Value::Str((*s).into())])
+                .collect();
+            // Debug strings compare NaN cells as equal.
+            prop_assert_eq!(format!("{:?}", t.select(&preds).unwrap()), format!("{want_rows:?}"));
+            for column in ["f", "i"] {
+                let (mut total, mut count) = (0.0, 0usize);
+                for ((f, i, _), k) in rows.iter().zip(&keep) {
+                    if *k {
+                        total += if column == "f" { *f } else { *i as f64 };
+                        count += 1;
+                    }
+                }
+                let sum = t.sum(column, &preds).unwrap();
+                prop_assert_eq!(sum.to_bits(), t.sum_rowwise(column, &preds).unwrap().to_bits());
+                prop_assert_eq!(sum.to_bits(), total.to_bits());
+                let want_mean = (count > 0).then(|| (total / count as f64).to_bits());
+                prop_assert_eq!(t.mean(column, &preds).unwrap().map(f64::to_bits), want_mean);
+            }
+        }
+    }
+}
+
+type Cell = (f64, i64, &'static str);
+
+fn cell_strategy() -> impl Strategy<Value = Cell> {
+    let f = prop_oneof![
+        8 => -1e3f64..1e3,
+        1 => Just(f64::NAN),
+        1 => Just(-0.0),
+    ];
+    (f, -50i64..50, (0usize..3).prop_map(|c| ["a", "b", "c"][c]))
+}
+
+fn predicate_strategy() -> impl Strategy<Value = Predicate> {
+    let bound = || {
+        prop_oneof![
+            6 => -1.2e3f64..1.2e3,
+            1 => Just(f64::NEG_INFINITY),
+            1 => Just(f64::INFINITY),
+        ]
+    };
+    prop_oneof![
+        (0usize..2, bound(), bound()).prop_map(|(c, a, b)| {
+            Predicate::NumBetween {
+                column: ["f", "i"][c].into(),
+                lo: a.min(b),
+                hi: a.max(b),
+            }
+        }),
+        // "zz" is absent from the dictionary.
+        (0usize..3).prop_map(|v| Predicate::StrEq {
+            column: "s".into(),
+            value: ["a", "b", "zz"][v].into(),
+        }),
+    ]
+}
+
+fn row_matches((f, i, s): &Cell, p: &Predicate) -> bool {
+    match p {
+        Predicate::NumBetween { column, lo, hi } => {
+            let x = if column == "f" { *f } else { *i as f64 };
+            x >= *lo && x <= *hi
+        }
+        Predicate::StrEq { value, .. } => s == value,
     }
 }

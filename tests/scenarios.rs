@@ -30,6 +30,33 @@ fn retail_ordering_and_layout_invariants() {
     assert!((0.0..=1.0).contains(&r.cf.hit_rate));
 }
 
+/// E7's item-item CF figures stay put: hit-rate@10 equals the committed
+/// `results/e7_retail.txt` values and MRR is pinned bit for bit, so a
+/// faster recommender cannot silently change what it ranks.
+#[test]
+fn e7_retail_cf_figures_are_pinned() {
+    for (users, hit_rate, mrr_bits) in [
+        (100u64, 0.17, 0x3fac_a64f_83b0_8cf6u64),
+        (300, 0.22, 0x3fba_ba2f_0cc1_02ad),
+    ] {
+        let r = retail::run(
+            &retail::RetailParams {
+                users,
+                ..Default::default()
+            },
+            &mut Obs::default(),
+        )
+        .unwrap();
+        assert_eq!(r.cf.hit_rate, hit_rate, "{users} users");
+        assert_eq!(
+            r.cf.mrr.to_bits(),
+            mrr_bits,
+            "{users} users: mrr {}",
+            r.cf.mrr
+        );
+    }
+}
+
 #[test]
 fn tourism_invariants() {
     let r = tourism::run(
