@@ -257,11 +257,13 @@ impl PoiDatabase {
             c.north + radius_m,
         );
         let r2 = radius_m * radius_m;
-        self.index
-            .range(&query)
-            .filter(|(rect, _)| rect.distance2_to_point(c.east, c.north) <= r2)
-            .map(|(_, &i)| &self.pois[i])
-            .collect()
+        let mut hits = Vec::new();
+        self.index.visit_range(&query, |rect, &i| {
+            if rect.distance2_to_point(c.east, c.north) <= r2 {
+                hits.push(&self.pois[i]);
+            }
+        });
+        hits
     }
 
     /// The `k` nearest POIs to `center`, optionally restricted to one

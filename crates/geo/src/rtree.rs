@@ -346,6 +346,36 @@ impl<T> RTree<T> {
         }
     }
 
+    /// Calls `f` on every entry whose rectangle intersects `query`, in
+    /// exactly the order [`RTree::range`] yields them, without
+    /// allocating: the walk recurses instead of keeping a node stack.
+    pub fn visit_range<'a>(&'a self, query: &Rect, mut f: impl FnMut(&'a Rect, &'a T)) {
+        if self.root.bounds().intersects(query) {
+            Self::visit(&self.root, query, &mut f);
+        }
+    }
+
+    fn visit<'a, F: FnMut(&'a Rect, &'a T)>(node: &'a Node<T>, query: &Rect, f: &mut F) {
+        match node {
+            Node::Leaf { entries, .. } => {
+                for (r, v) in entries {
+                    if r.intersects(query) {
+                        f(r, v);
+                    }
+                }
+            }
+            // `range` stacks the matching children and pops the last
+            // first; visiting them in reverse keeps its order.
+            Node::Inner { children, .. } => {
+                for c in children.iter().rev() {
+                    if c.bounds().intersects(query) {
+                        Self::visit(c, query, f);
+                    }
+                }
+            }
+        }
+    }
+
     /// The `k` entries nearest to `(x, y)` by rectangle distance, closest
     /// first. Returns fewer than `k` when the tree is smaller.
     pub fn nearest(&self, x: f64, y: f64, k: usize) -> Vec<(Rect, &T)> {
@@ -573,6 +603,38 @@ mod tests {
         let q = Rect::new(5.0, 5.0, 6.0, 6.0).unwrap();
         let hits: Vec<&&str> = t.range(&q).map(|(_, v)| v).collect();
         assert_eq!(hits, vec![&"big"]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn visit_range_walks_range_order(seed in proptest::prelude::any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(0..3_000);
+            let items: Vec<(Rect, usize)> = (0..n)
+                .map(|i| {
+                    let (x, y) = (rng.gen_range(0.0..500.0), rng.gen_range(0.0..500.0));
+                    let (w, h) = (rng.gen_range(0.0..40.0), rng.gen_range(0.0..40.0));
+                    (Rect::spanning(x, y, x + w, y + h), i)
+                })
+                .collect();
+            let bulk: RTree<usize> = items.clone().into_iter().collect();
+            let mut incr = RTree::new();
+            for (r, v) in items {
+                incr.insert(r, v);
+            }
+            for tree in [&bulk, &incr] {
+                for _ in 0..8 {
+                    let (x, y) = (rng.gen_range(-50.0..550.0), rng.gen_range(-50.0..550.0));
+                    let side = rng.gen_range(0.0..300.0);
+                    let q = Rect::spanning(x, y, x + side, y + side * rng.gen_range(0.0..2.0));
+                    let want: Vec<(Rect, usize)> = tree.range(&q).map(|(r, v)| (*r, *v)).collect();
+                    let mut got = Vec::new();
+                    tree.visit_range(&q, |r, v| got.push((*r, *v)));
+                    proptest::prop_assert_eq!(got, want);
+                }
+            }
+        }
     }
 
     #[test]

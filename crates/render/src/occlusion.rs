@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use augur_geo::{Building, CityModel, Enu, RTree, Rect};
 
-use crate::view::ViewCamera;
+use crate::view::{CameraBasis, ViewCamera};
 
 /// Visibility classification of one target.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -73,24 +73,31 @@ impl OcclusionIndex {
 
     /// Indexed equivalent of [`classify_visibility`].
     pub fn classify(&self, camera: &ViewCamera, target: Enu) -> OcclusionClass {
-        if !camera.in_frustum(target) {
+        self.classify_in(&camera.basis(), target)
+    }
+
+    /// [`OcclusionIndex::classify`] through a camera whose trigonometry
+    /// is already done. Buildings are visited in `RTree::range` order, so
+    /// ties at equal `t` keep the first building that order meets.
+    fn classify_in(&self, view: &CameraBasis<'_>, target: Enu) -> OcclusionClass {
+        if view.project(target).is_none() {
             return OcclusionClass::OutOfView;
         }
-        let a = camera.position;
+        let a = view.camera.position;
         let query = Rect::spanning(a.east, a.north, target.east, target.north);
         let mut best: Option<(u32, f64)> = None;
-        for (_, &i) in self.tree.range(&query) {
+        self.tree.visit_range(&query, |_, &i| {
             let b = &self.buildings[i];
             if let Some(t) = b.intersect_segment(a, target) {
                 if t <= 1e-9 && b.contains(a) {
-                    continue;
+                    return;
                 }
                 match best {
                     Some((_, bt)) if bt <= t => {}
                     _ => best = Some((b.id, t)),
                 }
             }
-        }
+        });
         match best {
             Some((id, _)) => OcclusionClass::Occluded { by_building: id },
             None => OcclusionClass::Visible,
@@ -120,27 +127,29 @@ pub fn xray_reveals(
     targets: &[(u64, Enu)],
     index: &OcclusionIndex,
 ) -> Vec<XRayReveal> {
-    targets
-        .iter()
-        .filter_map(|(id, pos)| match index.classify(camera, *pos) {
-            OcclusionClass::OutOfView => None,
-            OcclusionClass::Visible => Some(XRayReveal {
-                target_id: *id,
-                reveal: false,
-                through_building: None,
-                opacity: 1.0,
-            }),
+    let view = camera.basis();
+    let mut out = Vec::with_capacity(targets.len());
+    for &(target_id, pos) in targets {
+        let (reveal, through_building, opacity) = match index.classify_in(&view, pos) {
+            OcclusionClass::OutOfView => continue,
+            OcclusionClass::Visible => (false, None, 1.0),
             OcclusionClass::Occluded { by_building } => {
-                let d = camera.distance(*pos);
-                Some(XRayReveal {
-                    target_id: *id,
-                    reveal: true,
-                    through_building: Some(by_building),
-                    opacity: (1.0 - d / camera.far_m).clamp(0.15, 0.8),
-                })
+                let d = camera.distance(pos);
+                (
+                    true,
+                    Some(by_building),
+                    (1.0 - d / camera.far_m).clamp(0.15, 0.8),
+                )
             }
-        })
-        .collect()
+        };
+        out.push(XRayReveal {
+            target_id,
+            reveal,
+            through_building,
+            opacity,
+        });
+    }
+    out
 }
 
 #[cfg(test)]
@@ -251,6 +260,93 @@ mod tests {
         let r2 = reveals.iter().find(|r| r.target_id == 2).unwrap();
         assert!(!r2.reveal);
         assert_eq!(r2.opacity, 1.0);
+    }
+
+    /// `classify` as it was before the shared camera basis and the
+    /// non-allocating walk, kept as an oracle: per-target frustum test
+    /// and the `RTree::range` iterator.
+    fn classify_range(index: &OcclusionIndex, camera: &ViewCamera, target: Enu) -> OcclusionClass {
+        if !camera.in_frustum(target) {
+            return OcclusionClass::OutOfView;
+        }
+        let a = camera.position;
+        let query = Rect::spanning(a.east, a.north, target.east, target.north);
+        let mut best: Option<(u32, f64)> = None;
+        for (_, &i) in index.tree.range(&query) {
+            let b = &index.buildings[i];
+            if let Some(t) = b.intersect_segment(a, target) {
+                if t <= 1e-9 && b.contains(a) {
+                    continue;
+                }
+                match best {
+                    Some((_, bt)) if bt <= t => {}
+                    _ => best = Some((b.id, t)),
+                }
+            }
+        }
+        match best {
+            Some((id, _)) => OcclusionClass::Occluded { by_building: id },
+            None => OcclusionClass::Visible,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn reveals_match_range_oracle(seed in proptest::prelude::any::<u64>()) {
+            use rand::Rng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let city = CityModel::generate(
+                &CityParams {
+                    blocks: rng.gen_range(0..12),
+                    block_size_m: rng.gen_range(40.0..150.0),
+                    street_width_m: rng.gen_range(0.0..25.0),
+                    buildings_per_block_axis: rng.gen_range(1..4),
+                    ..Default::default()
+                },
+                &mut rng,
+            );
+            let index = OcclusionIndex::build(&city);
+            let half = city.buildings().iter().fold(100.0f64, |m, b| m.max(b.footprint.max_x()));
+            let cam = ViewCamera::new(
+                Enu::new(rng.gen_range(-half..half), rng.gen_range(-half..half), 1.6),
+                rng.gen_range(-360.0..720.0),
+                rng.gen_range(10.0..170.0),
+                Viewport::default(),
+                rng.gen_range(50.0..2000.0),
+            )
+            .unwrap();
+            let targets: Vec<(u64, Enu)> = (0..rng.gen_range(0..930))
+                .map(|i| {
+                    let p = Enu::new(
+                        cam.position.east + rng.gen_range(-400.0..400.0),
+                        cam.position.north + rng.gen_range(-400.0..400.0),
+                        rng.gen_range(0.0..60.0),
+                    );
+                    (i, p)
+                })
+                .collect();
+            let reveals = xray_reveals(&cam, &targets, &index);
+            let mut want = Vec::new();
+            for &(id, pos) in &targets {
+                let class = classify_range(&index, &cam, pos);
+                proptest::prop_assert_eq!(index.classify(&cam, pos), class);
+                let (reveal, through_building, opacity) = match class {
+                    OcclusionClass::OutOfView => continue,
+                    OcclusionClass::Visible => (false, None, 1.0f64),
+                    OcclusionClass::Occluded { by_building } => (
+                        true,
+                        Some(by_building),
+                        (1.0 - cam.distance(pos) / cam.far_m).clamp(0.15, 0.8),
+                    ),
+                };
+                want.push((id, reveal, through_building, opacity.to_bits()));
+            }
+            let got: Vec<_> = reveals
+                .iter()
+                .map(|r| (r.target_id, r.reveal, r.through_building, r.opacity.to_bits()))
+                .collect();
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -77,13 +77,7 @@ impl ViewCamera {
 
     /// Camera-frame coordinates of a world point: (right, forward, up-rel).
     pub fn to_camera(&self, world: Enu) -> (f64, f64, f64) {
-        let de = world.east - self.position.east;
-        let dn = world.north - self.position.north;
-        let du = world.up - self.position.up;
-        let h = self.heading_deg.to_radians();
-        let forward = dn * h.cos() + de * h.sin();
-        let right = de * h.cos() - dn * h.sin();
-        (right, forward, du)
+        self.basis().to_camera(world)
     }
 
     /// Distance from the eye to a world point.
@@ -101,17 +95,52 @@ impl ViewCamera {
     /// Projects a world point to pixels, or `None` if outside the
     /// frustum.
     pub fn project(&self, world: Enu) -> Option<(f64, f64)> {
+        self.basis().project(world)
+    }
+
+    /// The heading's cosine and sine and the focal length, for callers
+    /// that project many points through one camera.
+    pub(crate) fn basis(&self) -> CameraBasis<'_> {
+        let h = self.heading_deg.to_radians();
+        CameraBasis {
+            camera: self,
+            cos_h: h.cos(),
+            sin_h: h.sin(),
+            focal_px: self.focal_px(),
+        }
+    }
+}
+
+/// A [`ViewCamera`] with its per-camera trigonometry done once; every
+/// method computes exactly what the camera's own method of that name does.
+pub(crate) struct CameraBasis<'a> {
+    pub(crate) camera: &'a ViewCamera,
+    cos_h: f64,
+    sin_h: f64,
+    focal_px: f64,
+}
+
+impl CameraBasis<'_> {
+    fn to_camera(&self, world: Enu) -> (f64, f64, f64) {
+        let c = self.camera;
+        let de = world.east - c.position.east;
+        let dn = world.north - c.position.north;
+        let du = world.up - c.position.up;
+        let forward = dn * self.cos_h + de * self.sin_h;
+        let right = de * self.cos_h - dn * self.sin_h;
+        (right, forward, du)
+    }
+
+    pub(crate) fn project(&self, world: Enu) -> Option<(f64, f64)> {
         let (right, forward, up) = self.to_camera(world);
-        if forward <= 0.1 || forward > self.far_m {
+        let c = self.camera;
+        if forward <= 0.1 || forward > c.far_m {
             return None;
         }
-        let f = self.focal_px();
-        let u = self.viewport.width_px as f64 / 2.0 + f * right / forward;
-        let v = self.viewport.height_px as f64 / 2.0 - f * up / forward;
-        let (w, h) = (
-            self.viewport.width_px as f64,
-            self.viewport.height_px as f64,
-        );
+        let f = self.focal_px;
+        let (w, h) = (c.viewport.width_px as f64, c.viewport.height_px as f64);
+        let u = w / 2.0 + f * right / forward;
+        let v = h / 2.0 - f * up / forward;
         (u >= 0.0 && u <= w && v >= 0.0 && v <= h).then_some((u, v))
     }
 }
@@ -177,6 +206,52 @@ mod tests {
         assert!(u_l < 960.0 && u_r > 960.0);
         let (_, v_up) = c.project(Enu::new(0.0, 50.0, 10.0)).unwrap();
         assert!(v_up < 540.0, "up is towards smaller v");
+    }
+
+    /// `project` with the heading trigonometry and focal length computed
+    /// per point, as before `CameraBasis`, kept as an oracle.
+    fn project_per_point(c: &ViewCamera, world: Enu) -> Option<(f64, f64)> {
+        let de = world.east - c.position.east;
+        let dn = world.north - c.position.north;
+        let h = c.heading_deg.to_radians();
+        let forward = dn * h.cos() + de * h.sin();
+        let right = de * h.cos() - dn * h.sin();
+        if forward <= 0.1 || forward > c.far_m {
+            return None;
+        }
+        let f = c.focal_px();
+        let u = c.viewport.width_px as f64 / 2.0 + f * right / forward;
+        let v = c.viewport.height_px as f64 / 2.0 - f * (world.up - c.position.up) / forward;
+        let (w, h) = (c.viewport.width_px as f64, c.viewport.height_px as f64);
+        (u >= 0.0 && u <= w && v >= 0.0 && v <= h).then_some((u, v))
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn basis_projection_is_bit_identical(seed in proptest::prelude::any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let c = ViewCamera::new(
+                Enu::new(rng.gen_range(-1e3..1e3), rng.gen_range(-1e3..1e3), 1.6),
+                rng.gen_range(-720.0..720.0),
+                rng.gen_range(1.0..179.0),
+                Viewport {
+                    width_px: rng.gen_range(0..4000),
+                    height_px: rng.gen_range(0..3000),
+                },
+                rng.gen_range(1.0..3000.0),
+            )
+            .unwrap();
+            for _ in 0..200 {
+                let p = Enu::new(
+                    c.position.east + rng.gen_range(-2e3..2e3),
+                    c.position.north + rng.gen_range(-2e3..2e3),
+                    rng.gen_range(-50.0..200.0),
+                );
+                let bits = |x: Option<(f64, f64)>| x.map(|(u, v)| (u.to_bits(), v.to_bits()));
+                proptest::prop_assert_eq!(bits(c.project(p)), bits(project_per_point(&c, p)));
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! bridge §4.2 argues both sides must meet at.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
@@ -206,6 +207,9 @@ impl Rule {
     }
 }
 
+/// Expands `{name}`, `{value}` and then each attribute's `{key}` by
+/// sequential replacement: the reference semantics, and the path taken
+/// whenever one pass over the split template could give another result.
 fn expand(template: &str, fact: &Fact) -> String {
     let mut out = template.replace("{name}", &fact.name);
     out = out.replace("{value}", &format!("{:.1}", fact.value));
@@ -213,6 +217,47 @@ fn expand(template: &str, fact: &Fact) -> String {
         out = out.replace(&format!("{{{k}}}"), v);
     }
     out
+}
+
+/// Renders a template in one pass into one pre-sized buffer, when that
+/// equals [`expand`]: every brace in the template opens or closes a
+/// `{…}` placeholder, and no brace occurs in the fact's name or
+/// attributes (`plain`), so no substituted text can form or complete a
+/// placeholder. Otherwise falls back to [`expand`].
+fn render(template: &str, fact: &Fact, plain: bool) -> String {
+    if !plain {
+        return expand(template, fact);
+    }
+    let attrs: usize = fact.attrs.values().map(String::len).sum();
+    let mut out = String::with_capacity(template.len() + fact.name.len() + attrs + 24);
+    let mut at = 0;
+    // Braces must alternate `{`, `}`: each pair is one placeholder.
+    let mut braces = template.match_indices(['{', '}']);
+    while let Some((open, brace)) = braces.next() {
+        let (Some((close, "}")), "{") = (braces.next(), brace) else {
+            return expand(template, fact);
+        };
+        // Braces are ASCII, so every range below is on a char boundary.
+        out.push_str(template.get(at..open).unwrap_or_default());
+        match template.get(open + 1..close).unwrap_or_default() {
+            "name" => out.push_str(&fact.name),
+            "value" => {
+                // Writing to a `String` cannot fail.
+                let _ = write!(out, "{:.1}", fact.value);
+            }
+            key => match fact.attrs.get(key) {
+                Some(v) => out.push_str(v),
+                None => out.push_str(template.get(open..close + 1).unwrap_or_default()),
+            },
+        }
+        at = close + 1;
+    }
+    out.push_str(template.get(at..).unwrap_or_default());
+    out
+}
+
+fn has_brace(s: &str) -> bool {
+    s.contains(['{', '}'])
 }
 
 /// The rule engine; see the module docs.
@@ -249,14 +294,20 @@ impl InterpretationEngine {
     /// every matching rule, in rule-installation order.
     pub fn interpret(&mut self, fact: &Fact, ctx: &UserContext) -> Vec<Directive> {
         self.evaluated += 1;
+        let plain = !has_brace(&fact.name)
+            && fact
+                .attrs
+                .iter()
+                .all(|(k, v)| !has_brace(k) && !has_brace(v));
         let mut out = Vec::new();
         for rule in &self.rules {
             if rule.conditions.iter().all(|c| c.holds(fact, ctx)) {
                 self.fired += 1;
+                let render_text = |t: &str| render(t, fact, plain);
                 out.push(match &rule.action {
                     ActionTemplate::ShowLabel { text, priority } => Directive::ShowLabel {
                         subject: fact.subject,
-                        text: expand(text, fact),
+                        text: render_text(text),
                         priority: *priority,
                     },
                     ActionTemplate::Highlight { color } => Directive::Highlight {
@@ -268,12 +319,12 @@ impl InterpretationEngine {
                         severity_per_unit,
                     } => Directive::Alert {
                         subject: fact.subject,
-                        text: expand(text, fact),
+                        text: render_text(text),
                         severity: (fact.value.abs() * severity_per_unit).min(1.0),
                     },
                     ActionTemplate::SuggestRoute { reason } => Directive::SuggestRoute {
                         subject: fact.subject,
-                        reason: expand(reason, fact),
+                        reason: render_text(reason),
                     },
                 });
             }
@@ -456,6 +507,187 @@ mod tests {
         assert_eq!(evaluated, 2);
         assert_eq!(fired, 1);
         assert_eq!(e.rule_count(), 3);
+    }
+
+    /// `interpret` before single-pass rendering, kept as an oracle: every
+    /// rule in installation order, every text by sequential replacement.
+    fn interpret_sequential(rules: &[Rule], fact: &Fact, ctx: &UserContext) -> Vec<Directive> {
+        let mut out = Vec::new();
+        for rule in rules {
+            if rule.conditions.iter().all(|c| c.holds(fact, ctx)) {
+                out.push(match &rule.action {
+                    ActionTemplate::ShowLabel { text, priority } => Directive::ShowLabel {
+                        subject: fact.subject,
+                        text: expand(text, fact),
+                        priority: *priority,
+                    },
+                    ActionTemplate::Highlight { color } => Directive::Highlight {
+                        subject: fact.subject,
+                        color: *color,
+                    },
+                    ActionTemplate::Alert {
+                        text,
+                        severity_per_unit,
+                    } => Directive::Alert {
+                        subject: fact.subject,
+                        text: expand(text, fact),
+                        severity: (fact.value.abs() * severity_per_unit).min(1.0),
+                    },
+                    ActionTemplate::SuggestRoute { reason } => Directive::SuggestRoute {
+                        subject: fact.subject,
+                        reason: expand(reason, fact),
+                    },
+                });
+            }
+        }
+        out
+    }
+
+    /// Names, keys and values that collide with placeholders: braces,
+    /// `name`/`value` as attribute keys, the empty key, unknown keys.
+    const NAMES: [&str; 6] = ["poi", "stock", "{value}", "a{", "x}", "poi{name}"];
+    const KEYS: [&str; 8] = [
+        "category",
+        "name",
+        "value",
+        "a",
+        "b",
+        "a}{b",
+        "",
+        "{category}",
+    ];
+    const VALUES: [&str; 7] = ["food", "landmark", "{name}", "{value}", "}{", "{b}", ""];
+    const TEMPLATES: [&str; 18] = [
+        "{name} {category}",
+        "popular {category} ({value})",
+        "{name}{value}{a}{b}",
+        "{unknown} and {}",
+        "{{name}}",
+        "{na{name}me}",
+        "{a}{b}",
+        "{a}b}",
+        "{name",
+        "{a{",
+        "}b}",
+        "value}",
+        "}{",
+        "plain",
+        "",
+        "{category}{category}",
+        "{name}{name}",
+        "landmark nearby: {category}",
+    ];
+
+    fn arb_engine_and_facts(seed: u64) -> (Vec<Rule>, Vec<(Fact, UserContext)>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let pick = |rng: &mut rand::rngs::StdRng, pool: &[&str]| {
+            pool[rng.gen_range(0..pool.len())].to_string()
+        };
+        let rules = (0..rng.gen_range(0..12))
+            .map(|r| {
+                let conditions = (0..rng.gen_range(1..4))
+                    .map(|_| match rng.gen_range(0..7) {
+                        0 | 1 => Condition::FactIs(pick(&mut rng, &NAMES)),
+                        2 => Condition::ValueAtLeast(rng.gen_range(-1.0..2.0)),
+                        3 => Condition::ValueAtMost(rng.gen_range(-1.0..2.0)),
+                        4 => Condition::AttrIs(pick(&mut rng, &KEYS), pick(&mut rng, &VALUES)),
+                        5 => Condition::AttrInInterests(pick(&mut rng, &KEYS)),
+                        _ => Condition::ActivityIs("touring".into()),
+                    })
+                    .collect();
+                let text = pick(&mut rng, &TEMPLATES);
+                let action = match rng.gen_range(0..4) {
+                    0 => ActionTemplate::ShowLabel {
+                        text,
+                        priority: 0.5,
+                    },
+                    1 => ActionTemplate::Highlight { color: r },
+                    2 => ActionTemplate::Alert {
+                        text,
+                        severity_per_unit: 0.3,
+                    },
+                    _ => ActionTemplate::SuggestRoute { reason: text },
+                };
+                Rule::new("r", conditions, action).unwrap()
+            })
+            .collect();
+        let values = [
+            0.0,
+            -0.0,
+            0.05,
+            123.456,
+            -7.25,
+            f64::NAN,
+            f64::INFINITY,
+            1e300,
+        ];
+        let facts = (0..64)
+            .map(|i| {
+                let mut fact = Fact::new(
+                    &pick(&mut rng, &NAMES),
+                    FeatureId(i),
+                    values[rng.gen_range(0..values.len())],
+                );
+                for _ in 0..rng.gen_range(0..4) {
+                    fact = fact.with_attr(&pick(&mut rng, &KEYS), &pick(&mut rng, &VALUES));
+                }
+                let ctx = UserContext {
+                    activity: if rng.gen_bool(0.5) {
+                        "touring"
+                    } else {
+                        "shopping"
+                    }
+                    .into(),
+                    interests: vec![pick(&mut rng, &VALUES)],
+                    health_monitoring: rng.gen_bool(0.5),
+                };
+                (fact, ctx)
+            })
+            .collect();
+        (rules, facts)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn interpret_matches_sequential_oracle(seed in proptest::prelude::any::<u64>()) {
+            let (rules, facts) = arb_engine_and_facts(seed);
+            // Half the rules are added after some facts were interpreted.
+            let (first, _) = rules.split_at(rules.len() / 2);
+            let mut e = InterpretationEngine::new();
+            for rule in first.iter().cloned() {
+                e.add_rule(rule);
+            }
+            let mut fired = 0;
+            for (n, (fact, ctx)) in facts.iter().enumerate() {
+                if n == facts.len() / 2 {
+                    for rule in rules[first.len()..].iter().cloned() {
+                        e.add_rule(rule);
+                    }
+                }
+                let installed = if n < facts.len() / 2 { first } else { &rules[..] };
+                let want = interpret_sequential(installed, fact, ctx);
+                fired += want.len() as u64;
+                // Debug strings compare NaN values as equal.
+                proptest::prop_assert_eq!(
+                    format!("{:?}", e.interpret(fact, ctx)),
+                    format!("{want:?}")
+                );
+            }
+            proptest::prop_assert_eq!(e.counters(), (facts.len() as u64, fired));
+        }
+    }
+
+    #[test]
+    fn stray_braces_take_the_sequential_path() {
+        let fact = Fact::new("poi", FeatureId(0), 1.0)
+            .with_attr("poi", "X")
+            .with_attr("a", "1");
+        // Sequential replacement turns `{{name}}` into `{poi}`, then `X`.
+        assert_eq!(render("{{name}}", &fact, true), "X");
+        for t in ["{a}b}", "{name", "}", "}b}", "{a{b}", "{a{", "{}{a}"] {
+            assert_eq!(render(t, &fact, true), expand(t, &fact), "{t}");
+        }
     }
 
     #[test]
